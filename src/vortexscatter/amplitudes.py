@@ -157,6 +157,14 @@ def fc_sums(phi, params: VortexParams, table: list[ModeMatch] | None = None):
         Output of :func:`vortexscatter.radial.mode_table`; computed (and
         cached) on demand when omitted.  Must cover [-n_max, n_max].
     """
+    _, f2, f3 = _table_sums(phi, params, table)
+    return f2, f3
+
+
+def _table_sums(phi, params: VortexParams, table: list[ModeMatch] | None):
+    """(f1, f2, f3) of :func:`fc_sums`; the near modes of the table are
+    those of :func:`near_mode_range` in the same order, so f1 equals
+    :func:`f1_sum` bit for bit."""
     if table is None:
         table = mode_table(params)
     lo, hi = near_mode_range(params)
@@ -182,7 +190,7 @@ def fc_sums(phi, params: VortexParams, table: list[ModeMatch] | None = None):
         f3 = _mode_sum(phi, ns_far, p_far * c_far)
     else:
         f3 = np.zeros_like(np.atleast_1d(f1)) if np.ndim(phi) else 0.0j
-    return f2, f3
+    return f1, f2, f3
 
 
 @dataclass(frozen=True)
@@ -203,11 +211,11 @@ class AmplitudeBreakdown:
 def amplitude_breakdown(phi: float, params: VortexParams,
                         table: list[ModeMatch] | None = None) -> AmplitudeBreakdown:
     """All four amplitude pieces at a single angle."""
-    f2, f3 = fc_sums(phi, params, table)
+    f1, f2, f3 = _table_sums(phi, params, table)
     return AmplitudeBreakdown(
         phi=float(phi),
         f_ab=ab_amplitude(phi, params.mu),
-        f1=f1_sum(phi, params),
+        f1=f1,
         f2=complex(f2),
         f3=complex(f3),
     )
@@ -289,10 +297,7 @@ def cross_section_curve(params: VortexParams, grid: np.ndarray | None = None,
 
     if method == EXACT:
         f_ab = np.asarray(ab_amplitude(grid, mu))
-        f1 = np.asarray(f1_sum(grid, params))
-        f2, f3 = fc_sums(grid, params, table)
-        f2 = np.asarray(f2)
-        f3 = np.asarray(f3)
+        f1, f2, f3 = _table_sums(grid, params, table)
         value = np.abs(f_ab + f1 + f2 + f3) ** 2
         interference = 2.0 * (f1 * np.conj(f2)).real
         extras = {

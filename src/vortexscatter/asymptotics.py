@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -431,6 +432,21 @@ def _penetration_phase(phi: float, mu: float, X: float):
     return chi, dchi
 
 
+@lru_cache(maxsize=64)
+def _direct_phase_terms(mu: float, X: float, lo: int, hi: int) -> tuple:
+    """Angle-independent phase terms (n, mu sgn(n-mu) pi, 2 (zeta_n - xi_n))
+    of the classically allowed modes in [lo, hi], in index order."""
+    out = []
+    for n in range(lo, hi + 1):
+        try:
+            ph = zeta_phase(n, mu, X)
+        except ForbiddenModeError:
+            continue
+        sgn = 1.0 if n >= mu else -1.0
+        out.append((n, mu * sgn * math.pi, 2.0 * (ph.zeta - ph.xi)))
+    return tuple(out)
+
+
 def f2_asymptotic(phi: float, mu: float, X: float, mode: str = "direct") -> complex:
     """Penetration amplitude in units 1/sqrt(k) from the WKB phases,
 
@@ -458,13 +474,8 @@ def f2_asymptotic(phi: float, mu: float, X: float, mode: str = "direct") -> comp
     if mode == "direct":
         total = 0.0 + 0.0j
         comp = 0.0 + 0.0j
-        for n in range(lo, hi + 1):
-            try:
-                ph = zeta_phase(n, mu, X)
-            except ForbiddenModeError:
-                continue
-            sgn = 1.0 if n >= mu else -1.0
-            arg = n * phi + mu * sgn * math.pi + 2.0 * (ph.zeta - ph.xi)
+        for n, flux, wkb in _direct_phase_terms(mu, X, lo, hi):
+            arg = n * phi + flux + wkb
             term = cmath.exp(1j * arg)
             t = total + term
             if abs(total) >= abs(term):

@@ -9,9 +9,12 @@ For each angular-momentum mode n the interior equation
 
     [x^-1 d/dx x d/dx - x^-2 (n - gamma(x))^2 + sigma gamma'(x)/x + 1] tau = 0
 
-is integrated from the regular x^|n| behaviour at the origin out to the
-edge x = X, where it is matched against the outside cylinder-function
-basis of order nu = |n - mu| through the delta-shell jump condition
+has, for the uniform field, the regular Landau-level solution
+tau = x^|n| e^{-z/2} M(a, |n|+1, z) with z = |mu| x^2/X^2 (Kummer's
+function, DLMF 13.2).  Its edge data at x = X come from a backward
+recurrence in the second Kummer parameter and are matched against the
+outside cylinder-function basis of order nu = |n - mu| through the
+delta-shell jump condition
 
     psi(X) = tau(X),    psi'(X) = tau'(X) + kappa tau(X).
 
@@ -38,14 +41,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-from scipy.integrate import solve_ivp
-
 from . import specfun
 
 
 class SolverFailure(RuntimeError):
-    """Interior integration or matching failed; carries the mode index."""
+    """Interior evaluation or matching failed; carries the mode index."""
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +165,8 @@ class InsideSolution:
     """Boundary data of the regular interior solution at x = X.
 
     The overall scale is arbitrary (every downstream quantity is a ratio);
-    the stored pair is tau(X) and tau'(X) divided by X^|n| so that huge
-    angular momenta never overflow.
+    the stored pair (tau(X), tau'(X)) has unit length and the sign of
+    tau(X).
     """
 
     value: float
@@ -194,122 +194,112 @@ class ModeMatch:
 
 
 # ---------------------------------------------------------------------------
-# interior integration
+# interior solution: Landau levels
 # ---------------------------------------------------------------------------
 
-_RTOL_INSIDE = 1e-11
-_SERIES_TERMS = 20
-_SEGMENT_LENGTH = 25.0
+_STRONG_FIELD_DPS = 34
+_CERTIFY_TOL = 1e-12
+_ZERO_GUARD = 1e-300
 
 
-def _series_coefficients(n: int, params: VortexParams, terms: int = _SERIES_TERMS) -> list[float]:
-    """Frobenius coefficients a_k of tau = x^|n| sum_k a_k x^{2k} for the
-    uniform profile, where the reduced equation is
+def _start_pad(X: float) -> int:
+    """Recurrence steps run above the highest wanted order, ~ 12 X^(1/3) + 25."""
+    return math.ceil(12.0 * X ** (1.0 / 3.0) + 25.0)
 
-        u'' + (2|n|+1) u'/x + (A - B x^2) u = 0,
-        A = 1 + 2 mu (n + sigma)/X^2,   B = mu^2/X^4,
 
-    giving a_k = -(A a_{k-1} - B a_{k-2}) / (4 k (k + |n|)).
+def _kummer_branch(X, w, c0: int, top: int, m_max: int) -> list:
+    """Backward recurrence of one Kummer branch at the edge z = |w|.
+
+    For fixed Kummer a = c0 - X^2/(4 w), the edge ratios
+    q_b = (b-1) M(a, b-1, w)/M(a, b, w) obey (DLMF 13.3.2 with
+    (b-1) M(a, b-1, z) = (b-1) M(a, b, z) + z M'(a, b, z))
+
+        q_b = b - 1 + w - (w (b - c0) + X^2/4) / q_{b+1},
+
+    stable downwards since M is the minimal solution as b grows.  From
+    q_{top+1} = top + 1, returns (q_{m+1}, sign of M(a, m+1, w)) for every
+    m <= m_max: the sign is +1 at the top and flips at each negative
+    ratio.  An exact zero ratio (an exact zero of M) is replaced by a
+    tiny one, the limit the next step needs.
     """
-    m = abs(n)
-    A = 1.0 + 2.0 * params.mu * (n + params.sigma) / params.X ** 2
-    B = (params.mu / params.X ** 2) ** 2
-    a = [1.0]
-    for k in range(1, terms):
-        prev2 = a[k - 2] if k >= 2 else 0.0
-        a.append(-(A * a[k - 1] - B * prev2) / (4.0 * k * (k + m)))
-    return a
-
-
-def _series_eval(n: int, params: VortexParams, x: float) -> tuple[float, float]:
-    """Series value (u, u') at x; valid for x up to a few units."""
-    a = _series_coefficients(n, params)
-    x2 = x * x
-    u = 0.0
-    du = 0.0
-    for k in range(len(a) - 1, -1, -1):
-        u = a[k] + u * x2
-        if k >= 1:
-            du = k * a[k] + du * x2
-    return u, 2.0 * x * du
-
-
-def _batch_start(params: VortexParams, max_abs_n: int) -> float:
-    """Joint start radius for the mode batch.
-
-    The reduced solutions are flat out to x ~ sqrt(|n|); starting at
-    0.3 sqrt(|n|+1) for the largest mode keeps the origin drag term
-    (2|n|+1)/x from forcing tiny steps, while the 20-term series still
-    carries every mode to the start point at full precision.
-    """
-    x0 = max(1e-6, 1e-4 * params.X, 0.3 * math.sqrt(max_abs_n + 1.0))
-    return min(x0, 0.5 * params.X, 8.0)
-
-
-@lru_cache(maxsize=64)
-def _interior_edge_table(X: float, mu: float, sigma: int, profile: str,
-                         n_lo: int, n_hi: int) -> dict[int, tuple[float, float]]:
-    """Scaled boundary data (tau, tau')/X^|n| at x = X for all modes in
-    [n_lo, n_hi], integrated as one batched linear system.
-
-    The reduced variables u_n = tau_n / x^|n| stay O(1) or decay, and the
-    batch is renormalised per mode at segment boundaries, so no component
-    ever under- or overflows.  Cached independently of kappa: the shell
-    strength enters only the edge matching.
-    """
-    params = VortexParams(X=X, mu=mu, kappa=0.0, sigma=sigma, profile=profile)
-    ns = np.arange(n_lo, n_hi + 1)
-    m = np.abs(ns).astype(float)
-    A = 1.0 + 2.0 * mu * (ns + sigma) / X ** 2
-    B = (mu / X ** 2) ** 2
-    drag = 2.0 * m + 1.0
-    N = len(ns)
-
-    x0 = _batch_start(params, int(m.max()))
-    u = np.empty(N)
-    du = np.empty(N)
-    for i, n in enumerate(ns):
-        u[i], du[i] = _series_eval(int(n), params, min(x0, X))
-
-    if x0 < X:
-        def rhs(x, y):
-            uu = y[:N]
-            vv = y[N:]
-            return np.concatenate((vv, -drag * vv / x - (A - B * x * x) * uu))
-
-        n_seg = max(1, math.ceil((X - x0) / _SEGMENT_LENGTH))
-        bounds = np.linspace(x0, X, n_seg + 1)
-        y = np.concatenate((u, du))
-        for a_seg, b_seg in zip(bounds[:-1], bounds[1:]):
-            sol = solve_ivp(rhs, (a_seg, b_seg), y, method="DOP853",
-                            rtol=_RTOL_INSIDE, atol=1e-20, dense_output=False)
-            if not sol.success:
-                raise SolverFailure(
-                    f"interior batch integration failed on [{a_seg:g}, {b_seg:g}]: {sol.message}")
-            y = sol.y[:, -1]
-            # per-mode renormalisation; the system is linear so only the
-            # final (value, derivative) ratio matters
-            scale = np.maximum(np.abs(y[:N]), np.abs(y[N:]))
-            scale[scale == 0.0] = 1.0
-            y = np.concatenate((y[:N] / scale, y[N:] / scale))
-        u, du = y[:N], y[N:]
-
-    out: dict[int, tuple[float, float]] = {}
-    for i, n in enumerate(ns):
-        # back to the (scaled) physical pair: tau/X^|n| and tau'/X^|n|
-        out[int(n)] = (float(u[i]), float(du[i] + m[i] * u[i] / X))
+    quarter = X * X / 4
+    q = top + 1
+    sign = 1.0
+    out = [None] * (m_max + 1)
+    for b in range(top, 0, -1):
+        if q < 0:
+            sign = -sign
+        elif q == 0:
+            q = _ZERO_GUARD
+        q = b - 1 + w - (w * (b - c0) + quarter) / q
+        if b <= m_max + 1:
+            out[b - 1] = (q, sign)
     return out
 
 
-def _interior_edge(n: int, params: VortexParams) -> tuple[float, float]:
-    nm = params.n_max
-    if abs(n) > nm:
-        raise ValueError(f"|n|={abs(n)} exceeds the mode cutoff {nm}")
-    table = _interior_edge_table(params.X, params.mu, params.sigma, params.profile, -nm, nm)
-    value, derivative = table[n]
-    if value == 0.0 and derivative == 0.0:
-        raise SolverFailure(f"interior solution vanished identically for mode n={n}")
-    return value, derivative
+def _edge_pairs(X: float, mu: float, sigma: int, n_max: int,
+                real=float, extra_start: int = 0) -> dict[int, tuple[float, float]]:
+    """Unit-normalised (tau(X), tau'(X)) for |n| <= n_max in arithmetic ``real``.
+
+    With z = |mu| x^2/X^2 and m = |n| the regular interior solution is the
+    Landau-level function tau = x^m e^{-z/2} M(a, m+1, z), with
+    a = (m+1)/2 - (X^2 + 2 mu (n + sigma))/(4|mu|) (DLMF 13.2).  Write
+    s = sgn(mu), +1 at mu = 0.  Modes with s n >= 0 take the recurrence
+    at w = |mu| and c0 = (1 - s sigma)/2; the others take it, through
+    Kummer's transformation tau = x^m e^{+z/2} M(m+1-a, m+1, -z), at
+    w = -|mu| and c0 = (1 + s sigma)/2.  Either way
+    tau'/tau = (2 q_{m+1} - m - w)/X at the edge.  At mu = 0 both reduce
+    to the Bessel ratio recurrence of J_m(X).
+    """
+    s = 1 if mu >= 0.0 else -1
+    am = abs(mu)
+    Xr, w = real(X), real(am)
+    pad = _start_pad(X) + extra_start
+    first = _kummer_branch(Xr, w, (1 - s * sigma) // 2, math.ceil(max(n_max, am + X)) + pad, n_max)
+    second = _kummer_branch(Xr, -w, (1 + s * sigma) // 2, n_max + pad, n_max)
+    out: dict[int, tuple[float, float]] = {}
+    for n in range(-n_max, n_max + 1):
+        m = abs(n)
+        wb, (q, sign) = (w, first[m]) if s * n >= 0 else (-w, second[m])
+        t = float((2 * q - m - wb) / Xr)
+        h = math.hypot(1.0, t)
+        out[n] = (sign / h, sign * t / h)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _interior_edge_table(X: float, mu: float, sigma: int,
+                         n_max: int) -> dict[int, tuple[float, float]]:
+    """Unit-normalised edge pairs of every mode |n| <= n_max, keeping the
+    sign of tau(X).  Cached independently of kappa: the shell strength
+    enters only the edge matching.
+
+    While the classical orbit is at least as wide as the vortex
+    (2|mu| <= X) the recurrence runs in double precision.  Inside that
+    orbit radius it amplifies roundoff by up to ~1e12, so it runs over
+    34-digit mpmath numbers and is certified against a rerun at twice the
+    digits from a later start.
+
+    Raises
+    ------
+    SolverFailure
+        If the certification disagrees by more than 1e-12 in any mode.
+    """
+    if 2.0 * abs(mu) <= X:
+        return _edge_pairs(X, mu, sigma, n_max)
+    import mpmath
+
+    with mpmath.workdps(_STRONG_FIELD_DPS):
+        pairs = _edge_pairs(X, mu, sigma, n_max, mpmath.mpf)
+    with mpmath.workdps(2 * _STRONG_FIELD_DPS):
+        check = _edge_pairs(X, mu, sigma, n_max, mpmath.mpf, _start_pad(X))
+    for n, (v, d) in pairs.items():
+        cv, cd = check[n]
+        if max(abs(v - cv), abs(d - cd)) > _CERTIFY_TOL:
+            raise SolverFailure(
+                f"interior recurrence not certified at X={X}, mu={mu}, n={n}: "
+                f"pairs ({v:.15g}, {d:.15g}) and ({cv:.15g}, {cd:.15g})")
+    return pairs
 
 
 def inside_solution(n: int, params: VortexParams) -> InsideSolution:
@@ -324,12 +314,18 @@ def inside_solution(n: int, params: VortexParams) -> InsideSolution:
     Returns
     -------
     InsideSolution
-        Scaled pair (tau, tau')/X^|n| at the edge; overall scale is
-        arbitrary and cancels in all matching ratios.
-    """
-    v, d = _interior_edge(n, params)
-    return InsideSolution(value=v, derivative=d)
+        Unit-normalised pair (tau(X), tau'(X)), with the sign of tau(X).
 
+    Raises
+    ------
+    SolverFailure
+        If the strong-field (2|mu| > X) evaluation cannot be certified.
+    """
+    nm = params.n_max
+    if abs(n) > nm:
+        raise ValueError(f"|n|={abs(n)} exceeds the mode cutoff {nm}")
+    v, d = _interior_edge_table(params.X, params.mu, params.sigma, nm)[n]
+    return InsideSolution(value=v, derivative=d)
 
 # ---------------------------------------------------------------------------
 # outside basis and matching

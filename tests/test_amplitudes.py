@@ -166,6 +166,17 @@ def test_exact_curve_extras_consistent():
     assert np.allclose(ex["interference"], 2.0 * (ex["f1"] * np.conj(ex["f2"])).real)
 
 
+def test_exact_curve_reuses_mode_sums_bit_for_bit():
+    # the Exact curve sums f1 once; it must equal f1_sum, and f2, f3 must
+    # equal fc_sums, in every bit
+    p = VortexParams(X=30.0, mu=2.5, kappa=1.0)
+    g = amp.default_angle_grid(101)
+    ex = amp.cross_section_curve(p, g, amp.EXACT).extras
+    f2, f3 = amp.fc_sums(g, p)
+    assert np.array_equal(ex["f1"], amp.f1_sum(g, p))
+    assert np.array_equal(ex["f2"], f2) and np.array_equal(ex["f3"], f3)
+
+
 def test_breakdown_matches_curve():
     p = VortexParams(X=20.0, mu=0.7, kappa=0.5)
     tab = mode_table(p)

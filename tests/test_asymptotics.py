@@ -261,6 +261,34 @@ def test_f2_direct_vs_stationary():
     assert abs(d - s) <= 0.05 * abs(d)
 
 
+def f2_direct_per_angle(phi, mu, X):
+    """The direct WKB sum with every mode's phases evaluated at the angle."""
+    lo, hi = math.ceil(mu - X), math.floor(mu + X)
+    total = comp = 0.0 + 0.0j
+    for n in range(lo, hi + 1):
+        if abs(n - mu) > X:
+            continue
+        try:
+            ph = zeta_phase(n, mu, X)
+        except ForbiddenModeError:
+            continue
+        sgn = 1.0 if n >= mu else -1.0
+        term = cmath.exp(1j * (n * phi + mu * sgn * math.pi + 2.0 * (ph.zeta - ph.xi)))
+        t = total + term
+        if abs(total) >= abs(term):
+            comp += (total - t) + term
+        else:
+            comp += (term - t) + total
+        total = t
+    return -1j / math.sqrt(2.0 * math.pi) * (total + comp)
+
+
+def test_f2_direct_phases_cached_bit_for_bit():
+    for mu, X in ((10.0, 100.0), (-3.7, 40.0), (60.0, 50.0)):
+        for phi in (-2.5, -0.3, 0.01, 1.7):
+            assert f2_asymptotic(phi, mu, X, "direct") == f2_direct_per_angle(phi, mu, X)
+
+
 def test_f2_forward_limit_is_suppressed():
     vals = [abs(f2_asymptotic(phi, 10.0, 100.0, "direct"))
             for phi in (-0.3, -0.03, -0.003)]

@@ -1,0 +1,199 @@
+"""Closed-form interior: the Kummer-recurrence edge data against two
+independent oracles, mpmath's hypergeometric function and a batched
+DOP853 integration of the interior equation, plus its regressions."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+from scipy.special import jv, jvp
+
+from vortexscatter.radial import SolverFailure, VortexParams, inside_solution
+
+
+def edge_angle(sol):
+    return math.atan2(sol.derivative, sol.value)
+
+
+def angle_gap(a, b):
+    """Distance of two edge angles on the circle: a sign flip of tau
+    counts as pi."""
+    return abs((a - b + math.pi) % (2.0 * math.pi) - math.pi)
+
+
+# ---------------------------------------------------------------------------
+# oracles
+# ---------------------------------------------------------------------------
+
+def hyp1f1_edge_angle(n, X, mu, sigma, dps=40):
+    """atan2(tau'(X), tau(X)) of tau = x^m e^{-z/2} M(a, m+1, z) from
+    mpmath's hyp1f1, dropping the positive factor X^m e^{-|mu|/2}."""
+    with mpmath.workdps(dps):
+        m = abs(n)
+        X_, mu_ = mpmath.mpf(X), mpmath.mpf(mu)
+        z = abs(mu_)
+        a = mpmath.mpf(m + 1) / 2 - (X_ ** 2 + 2 * mu_ * (n + sigma)) / (4 * z)
+        # at a Landau level M is a Laguerre polynomial that can vanish at the
+        # edge exactly; a sum below 2^-2000 of its largest term counts as 0
+        M = mpmath.hyp1f1(a, m + 1, z, zeroprec=2000)
+        dM = a / (m + 1) * mpmath.hyp1f1(a + 1, m + 2, z, zeroprec=2000)
+        value = M
+        derivative = (m - z) / X_ * M + 2 * z / X_ * dM
+        return float(mpmath.atan2(derivative, value))
+
+
+def ode_edge_table(X, mu, sigma, n_max, rtol=1e-11, segment=25.0, terms=20):
+    """(tau, tau')/X^|n| at the edge for |n| <= n_max, integrated as one
+    batched system of the reduced equation
+
+        u'' + (2|n|+1) u'/x + (A - B x^2) u = 0,   tau = x^|n| u,
+        A = 1 + 2 mu (n + sigma)/X^2,   B = mu^2/X^4,
+
+    from a 20-term Frobenius series start, in DOP853 segments renormalised
+    per mode."""
+    ns = np.arange(-n_max, n_max + 1)
+    m = np.abs(ns).astype(float)
+    A = 1.0 + 2.0 * mu * (ns + sigma) / X ** 2
+    B = (mu / X ** 2) ** 2
+    drag = 2.0 * m + 1.0
+    N = len(ns)
+
+    # reduced solutions are flat out to x ~ sqrt(|n|)
+    x0 = min(max(1e-6, 1e-4 * X, 0.3 * math.sqrt(n_max + 1.0)), 0.5 * X, 8.0)
+    u = np.empty(N)
+    du = np.empty(N)
+    for i in range(N):
+        a = [1.0]
+        for k in range(1, terms):
+            prev2 = a[k - 2] if k >= 2 else 0.0
+            a.append(-(A[i] * a[k - 1] - B * prev2) / (4.0 * k * (k + m[i])))
+        uu = dd = 0.0
+        for k in range(terms - 1, -1, -1):
+            uu = a[k] + uu * x0 * x0
+            if k >= 1:
+                dd = k * a[k] + dd * x0 * x0
+        u[i], du[i] = uu, 2.0 * x0 * dd
+
+    def rhs(x, y):
+        return np.concatenate((y[N:], -drag * y[N:] / x - (A - B * x * x) * y[:N]))
+
+    bounds = np.linspace(x0, X, max(1, math.ceil((X - x0) / segment)) + 1)
+    y = np.concatenate((u, du))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=rtol, atol=1e-20)
+        assert sol.success, sol.message
+        y = sol.y[:, -1]
+        scale = np.maximum(np.abs(y[:N]), np.abs(y[N:]))
+        scale[scale == 0.0] = 1.0
+        y = np.concatenate((y[:N] / scale, y[N:] / scale))
+    u, du = y[:N], y[N:]
+    return {int(n): (float(u[i]), float(du[i] + m[i] * u[i] / X)) for i, n in enumerate(ns)}
+
+
+def sampled_modes(X, mu, n_max):
+    """Both Kummer branches: the table ends, the axis, the flux centre,
+    modes inside the vortex on either side of it."""
+    third = int(X // 3)
+    return sorted({-n_max, -n_max // 2, -third, -1, 0, 1, third, round(mu), n_max // 2, n_max})
+
+
+# ---------------------------------------------------------------------------
+# against hyp1f1
+# ---------------------------------------------------------------------------
+
+WEAK = [(X, r) for X in (30.0, 100.0, 200.0, 480.0) for r in (0.001, 0.5, 1.0)]
+STRONG = [(X, r) for X in (30.0, 40.0, 60.0) for r in (1.5, 2.0)]
+
+
+@pytest.mark.parametrize("X,ratio", WEAK + STRONG)
+def test_edge_angle_matches_hyp1f1(X, ratio):
+    # ratio = 2|mu|/X; both spins and both field directions
+    for sigma in (+1, -1):
+        for sign in (+1, -1):
+            mu = sign * ratio * X / 2.0
+            p = VortexParams(X=X, mu=mu, sigma=sigma)
+            for n in sampled_modes(X, mu, p.n_max):
+                got = edge_angle(inside_solution(n, p))
+                ref = hyp1f1_edge_angle(n, X, mu, sigma)
+                assert angle_gap(got, ref) <= 1e-12, (X, mu, sigma, n, got, ref)
+
+
+def test_edge_pairs_are_unit_normalised():
+    for mu in (7.5, 30.0):
+        p = VortexParams(X=30.0, mu=mu)
+        for n in range(-p.n_max, p.n_max + 1):
+            sol = inside_solution(n, p)
+            assert math.hypot(sol.value, sol.derivative) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_orbit_radius_equal_to_vortex_radius():
+    # 2|mu| = X with integer mu: for sigma = +1 the second branch meets an
+    # exact zero ratio, and n = -29 sits on a Landau level whose tau
+    # vanishes at the edge (M(-1, 30, 30) = 0)
+    X, mu = 60.0, 30.0
+    for sigma in (+1, -1):
+        p = VortexParams(X=X, mu=mu, sigma=sigma)
+        for n in range(-p.n_max, p.n_max + 1):
+            got = edge_angle(inside_solution(n, p))
+            assert angle_gap(got, hyp1f1_edge_angle(n, X, mu, sigma)) <= 1e-12, (sigma, n)
+    node = inside_solution(-29, VortexParams(X=X, mu=mu, sigma=+1))
+    assert abs(node.value) < 1e-15 and abs(node.derivative) == pytest.approx(1.0)
+
+
+def test_integer_kummer_parameter():
+    # a = -241: M is a Laguerre polynomial (scipy's hyp1f1 returns NaN here)
+    X, mu, sigma, n = 100.0, 10.0, +1, -9
+    assert (abs(n) + 1) / 2 - (X * X + 2 * mu * (n + sigma)) / (4 * mu) == pytest.approx(-241.0)
+    got = edge_angle(inside_solution(n, VortexParams(X=X, mu=mu, sigma=sigma)))
+    assert angle_gap(got, hyp1f1_edge_angle(n, X, mu, sigma)) <= 1e-12
+
+
+@pytest.mark.parametrize("X,mu,n,expected", [
+    (60.0, 60.0, -15, -0.75),    # integrated ODE: -0.75000861
+    (35.0, 43.75, -7, -1.05),    # integrated ODE: -1.0500021
+])
+def test_landau_level_edge_ratio(X, mu, n, expected):
+    # exact Landau levels, where M is a polynomial and tau'/tau is rational
+    sol = inside_solution(n, VortexParams(X=X, mu=mu, sigma=+1))
+    assert sol.derivative / sol.value == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("X", [30.0, 200.0])
+def test_zero_flux_is_bessel_j(X):
+    p = VortexParams(X=X, mu=0.0, sigma=-1)
+    for n in range(-p.n_max, p.n_max + 1):
+        m = abs(n)
+        ref = math.atan2(jvp(m, X), jv(m, X))
+        assert angle_gap(edge_angle(inside_solution(n, p)), ref) <= 1e-13, n
+
+
+@pytest.mark.parametrize("X,ratio", [(80.0, 2.5), (60.0, 2.5)])
+def test_strong_field_fails_fast_or_is_exact(X, ratio):
+    # inside the orbit radius the recurrence is certified at twice the
+    # digits from a later start; an uncertified table must raise
+    mu = ratio * X / 2.0
+    p = VortexParams(X=X, mu=mu, sigma=+1)
+    try:
+        sols = {n: inside_solution(n, p) for n in range(-p.n_max, p.n_max + 1)}
+    except SolverFailure as exc:
+        assert f"X={X}" in str(exc) and f"mu={mu}" in str(exc) and "n=" in str(exc)
+        return
+    for n, sol in sols.items():
+        assert angle_gap(edge_angle(sol), hyp1f1_edge_angle(n, X, mu, +1)) <= 1e-12, n
+
+
+# ---------------------------------------------------------------------------
+# against the integrated interior equation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("X,mu,sigma", [
+    (30.0, 0.015, +1), (30.0, -7.5, -1), (30.0, 15.0, +1),
+    (100.0, 0.05, -1), (100.0, 25.0, +1), (100.0, -50.0, +1),
+])
+def test_agrees_with_integrated_ode(X, mu, sigma):
+    p = VortexParams(X=X, mu=mu, sigma=sigma)
+    ode = ode_edge_table(X, mu, sigma, p.n_max)
+    for n, (v, d) in ode.items():
+        assert angle_gap(edge_angle(inside_solution(n, p)), math.atan2(d, v)) <= 1e-9, n
