@@ -17,10 +17,8 @@ from .amplitudes import (
     METHOD_TAGS,
     PENETRATION,
     RAINBOW,
-    AmplitudeBreakdown,
     CrossSectionCurve,
     ab_amplitude,
-    amplitude_breakdown,
     cross_section_curve,
     default_angle_grid,
     f1_sum,
@@ -45,14 +43,11 @@ from .asymptotics import (
 )
 from .radial import (
     InsideSolution,
-    ModeIndex,
     ModeMatch,
+    ModeTable,
     SolverFailure,
     VortexParams,
-    gamma_profile,
     inside_solution,
-    match_coefficient,
-    mode_index,
     mode_table,
     outside_basis_at_edge,
 )
@@ -61,14 +56,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AB", "CLASSICAL", "EXACT", "FRAUNHOFER", "METHOD_TAGS", "PENETRATION",
-    "RAINBOW", "AmplitudeBreakdown", "CrossSectionCurve", "ForbiddenModeError",
-    "InsideSolution", "ModeIndex", "ModeMatch", "SolverFailure",
-    "StationaryPhaseReport", "VortexParams", "WKBPhase", "ab_amplitude",
-    "amplitude_breakdown", "classical_cs", "cross_section_curve",
-    "default_angle_grid", "deflection", "f1_sum", "f2_asymptotic", "fc_sums",
-    "fraunhofer_cs", "gamma_profile", "incoming_coefficient",
-    "inside_solution", "match_coefficient", "mode_index", "mode_table",
-    "outside_basis_at_edge", "penetration_cs", "poisson_stationary_sum",
-    "rainbow_angle", "rainbow_cs", "refined_angle_grid", "xi_phase",
-    "zeta_phase",
+    "RAINBOW", "CrossSectionCurve", "ForbiddenModeError", "InsideSolution",
+    "ModeMatch", "ModeTable", "SolverFailure", "StationaryPhaseReport",
+    "VortexParams", "WKBPhase", "ab_amplitude", "classical_cs",
+    "cross_section_curve", "default_angle_grid", "deflection", "f1_sum",
+    "f2_asymptotic", "fc_sums", "fraunhofer_cs", "incoming_coefficient",
+    "inside_solution", "mode_table", "outside_basis_at_edge",
+    "penetration_cs", "poisson_stationary_sum", "rainbow_angle", "rainbow_cs",
+    "refined_angle_grid", "xi_phase", "zeta_phase",
 ]

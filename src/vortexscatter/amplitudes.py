@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .radial import FAR, NEAR, ModeMatch, VortexParams, mode_table
+from .radial import ModeTable, VortexParams, mode_table, near_mode_range
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -91,18 +91,6 @@ def ab_amplitude(phi, mu: float):
     return out if out.ndim else complex(out)
 
 
-def near_mode_range(params: VortexParams) -> tuple[int, int]:
-    """Inclusive integer range of near modes, |n - mu| <= X."""
-    lo = math.ceil(params.mu - params.X)
-    hi = math.floor(params.mu + params.X)
-    # guard against roundoff at |n - mu| == X
-    if abs(lo - params.mu) > params.X:
-        lo += 1
-    if abs(hi - params.mu) > params.X:
-        hi -= 1
-    return lo, hi
-
-
 def _neumaier(terms: np.ndarray) -> np.ndarray:
     """Compensated fixed-order sum along axis 0 of a complex array."""
     sr = np.zeros(terms.shape[1:])
@@ -136,13 +124,13 @@ def f1_sum(phi, params: VortexParams):
     Independent of the interior field and of the shell strength; strongly
     peaked in the forward direction with k|f1(0)|^2 ~ (2/pi) X^2 cos^2(mu pi).
     """
-    lo, hi = near_mode_range(params)
+    lo, hi = near_mode_range(params.mu, params.X)
     ns = np.arange(lo, hi + 1)
     weights = np.asarray(flux_phase(ns, params.mu))
     return _mode_sum(phi, ns, weights)
 
 
-def fc_sums(phi, params: VortexParams, table: list[ModeMatch] | None = None):
+def fc_sums(phi, params: VortexParams, table: ModeTable | None = None):
     """Penetration and far-mode amplitudes (f2, f3) from a mode table.
 
     f2 is reported as the difference between the combined near-mode
@@ -153,72 +141,40 @@ def fc_sums(phi, params: VortexParams, table: list[ModeMatch] | None = None):
     ----------
     phi : float or ndarray
     params : VortexParams
-    table : list of ModeMatch, optional
-        Output of :func:`vortexscatter.radial.mode_table`; computed (and
-        cached) on demand when omitted.  Must cover [-n_max, n_max].
+    table : ModeTable, optional
+        Output of :func:`vortexscatter.radial.mode_table` for ``params``;
+        computed (and cached) on demand when omitted.
+
+    Raises
+    ------
+    ValueError
+        If ``table`` was built for other parameters.
     """
     _, f2, f3 = _table_sums(phi, params, table)
     return f2, f3
 
 
-def _table_sums(phi, params: VortexParams, table: list[ModeMatch] | None):
+def _table_sums(phi, params: VortexParams, table: ModeTable | None):
     """(f1, f2, f3) of :func:`fc_sums`; the near modes of the table are
     those of :func:`near_mode_range` in the same order, so f1 equals
     :func:`f1_sum` bit for bit."""
     if table is None:
         table = mode_table(params)
-    lo, hi = near_mode_range(params)
-    have = {m.n for m in table}
-    if not all(n in have for n in (lo, hi, -params.n_max, params.n_max)):
-        raise ValueError("mode table does not cover the required index range")
+    elif table.params != params:
+        raise ValueError(f"mode table built for {table.params}, not for {params}")
+    near = table.near
+    far = ~near & (table.c_n != 0.0)
+    p = np.asarray(flux_phase(table.n, params.mu))
 
-    near = [m for m in table if m.regime == NEAR]
-    far = [m for m in table if m.regime == FAR and m.c_n != 0.0]
-
-    ns_near = np.array([m.n for m in near])
-    p_near = np.asarray(flux_phase(ns_near, params.mu))
-    c_near = np.array([m.c_n for m in near])
-
-    f1 = _mode_sum(phi, ns_near, p_near)
-    combined = _mode_sum(phi, ns_near, p_near * (1.0 + c_near))
+    f1 = _mode_sum(phi, table.n[near], p[near])
+    combined = _mode_sum(phi, table.n[near], p[near] * (1.0 + table.c_n[near]))
     f2 = combined - f1
 
-    if far:
-        ns_far = np.array([m.n for m in far])
-        p_far = np.asarray(flux_phase(ns_far, params.mu))
-        c_far = np.array([m.c_n for m in far])
-        f3 = _mode_sum(phi, ns_far, p_far * c_far)
+    if far.any():
+        f3 = _mode_sum(phi, table.n[far], p[far] * table.c_n[far])
     else:
         f3 = np.zeros_like(np.atleast_1d(f1)) if np.ndim(phi) else 0.0j
     return f1, f2, f3
-
-
-@dataclass(frozen=True)
-class AmplitudeBreakdown:
-    """Complex amplitudes at one angle, in units of 1/sqrt(k)."""
-
-    phi: float
-    f_ab: complex
-    f1: complex
-    f2: complex
-    f3: complex
-
-    @property
-    def total(self) -> complex:
-        return self.f_ab + self.f1 + self.f2 + self.f3
-
-
-def amplitude_breakdown(phi: float, params: VortexParams,
-                        table: list[ModeMatch] | None = None) -> AmplitudeBreakdown:
-    """All four amplitude pieces at a single angle."""
-    f1, f2, f3 = _table_sums(phi, params, table)
-    return AmplitudeBreakdown(
-        phi=float(phi),
-        f_ab=ab_amplitude(phi, params.mu),
-        f1=f1,
-        f2=complex(f2),
-        f3=complex(f3),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +221,7 @@ class CrossSectionCurve:
 
 def cross_section_curve(params: VortexParams, grid: np.ndarray | None = None,
                         method: str = EXACT,
-                        table: list[ModeMatch] | None = None) -> CrossSectionCurve:
+                        table: ModeTable | None = None) -> CrossSectionCurve:
     """Differential cross section sampled on an angle grid.
 
     Parameters

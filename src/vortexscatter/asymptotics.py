@@ -35,6 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import specfun
+from .radial import near_mode_range
 
 _CLAMP_TOL = 1e-12
 
@@ -464,12 +465,7 @@ def f2_asymptotic(phi: float, mu: float, X: float, mode: str = "direct") -> comp
     if X < 10.0:
         raise ValueError("short-wavelength asymptotics need X >= 10")
 
-    lo = math.ceil(mu - X)
-    hi = math.floor(mu + X)
-    if abs(lo - mu) > X:
-        lo += 1
-    if abs(hi - mu) > X:
-        hi -= 1
+    lo, hi = near_mode_range(mu, X)
 
     if mode == "direct":
         total = 0.0 + 0.0j
@@ -586,11 +582,7 @@ def penetration_cs(phi: float, mu: float, X: float) -> tuple[float, str]:
         raise ValueError("phi must lie in (-pi, pi)")
     r = X / (2.0 * mu)  # signed ratio r_B/r_c * sgn(e B)
     if 2.0 * abs(mu) > X:
-        val = abs(math.sin(phi / 2.0)) * (
-            0.5 * (1.0 + r * r * math.cos(phi))
-            / math.sqrt(1.0 - r * r * math.sin(phi / 2.0) ** 2)
-            - math.copysign(1.0, phi) * r * math.cos(phi / 2.0))
-        return val, STRONG
+        return classical_cs(phi, abs(r), 1 if mu > 0.0 else -1), STRONG
 
     phi_extr = rainbow_angle(mu, X)
     width = rainbow_window_halfwidth(mu, X)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -158,18 +158,15 @@ def fringe_sweep(base: VortexParams, mu_grid, output_path: str) -> str:
     """Track the one or two dominant diffraction-fringe peaks over a flux
     grid and write ``mu,peak_phi_1,peak_value_1,peak_phi_2,peak_value_2``.
 
-    Peak columns are exactly periodic in mu with period 1; a failed
-    detection leaves the row's peak cells empty.
+    Peak columns are exactly periodic in mu with period 1; a row with a
+    single peak leaves the second pair of cells empty.
     """
     mu_grid = list(mu_grid)
     if any(not (0.0 <= m <= 3.0) for m in mu_grid):
         raise ValueError("flux sweep grid must lie in [0, 3]")
     lines = ["mu,peak_phi_1,peak_value_1,peak_phi_2,peak_value_2"]
     for mu in mu_grid:
-        try:
-            peaks = _fringe_peaks(mu, base.X)
-        except Exception:
-            peaks = []
+        peaks = _fringe_peaks(mu, base.X)
         cells = [_fmt(mu)]
         for i in range(2):
             if i < len(peaks):
@@ -229,7 +226,7 @@ def compare_report(scenario: Scenario, max_l2: float | None = None,
     exact = amp.cross_section_curve(params, grid, amp.EXACT, table)
     report = CompareReport()
 
-    report.unitarity_worst = max(abs(abs(m.s_n) - 1.0) for m in table)
+    report.unitarity_worst = float(np.abs(np.abs(table.s_n) - 1.0).max())
 
     mask = np.abs(grid) > 5.0 / params.X
     resid = exact.extras["interference"][mask]
@@ -237,8 +234,7 @@ def compare_report(scenario: Scenario, max_l2: float | None = None,
     report.interference_rel_l2 = float(
         np.linalg.norm(resid) / max(np.linalg.norm(denom), 1e-300))
 
-    flipped = VortexParams(X=params.X, mu=params.mu, kappa=params.kappa,
-                           sigma=-params.sigma, profile=params.profile)
+    flipped = replace(params, sigma=-params.sigma)
     other = amp.cross_section_curve(flipped, grid, amp.EXACT)
     report.spin_difference = float(
         np.linalg.norm(exact.value - other.value)

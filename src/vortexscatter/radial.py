@@ -33,6 +33,16 @@ against the (J, Y) pair at the edge,
     p = W(J, tau) + kappa J tau,    q = W(Y, tau) + kappa Y tau,
 
 from which  s_n = -(p - i q)/(p + i q)  exactly, in every regime.
+
+The physics of a scenario sits at n ~ mu, so :func:`mode_table` matches
+the window round(mu) - n_max <= n <= round(mu) + n_max, where every order
+is at most n_max + 1/2, in one vectorised pass over arrays of modes.  Its
+:class:`ModeTable` holds n, nu, the near mask, c_n, s_n and b_ratio as
+arrays.  Far modes decay under the barrier; past three consecutive far
+modes with |c_n| < 1e-14 on each side the table holds their free values.
+A window too narrow for that cutoff, or outside the cylinder functions'
+range, raises :class:`SolverFailure`; the table is never truncated
+silently.
 """
 
 from __future__ import annotations
@@ -41,19 +51,18 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import specfun
 
 
 class SolverFailure(RuntimeError):
-    """Interior evaluation or matching failed; carries the mode index."""
+    """Interior evaluation or matching failed; names the scenario."""
 
 
 # ---------------------------------------------------------------------------
-# parameters and field profile
+# parameters and mode bookkeeping
 # ---------------------------------------------------------------------------
-
-_PROFILES = ("uniform",)
-
 
 @dataclass(frozen=True)
 class VortexParams:
@@ -70,15 +79,12 @@ class VortexParams:
         (either sign) selects the impenetrable Dirichlet limit.
     sigma : int
         Spin projection on the field axis, +1 or -1.
-    profile : str
-        Interior field profile tag; only "uniform" is implemented.
     """
 
     X: float
     mu: float
     kappa: float = 0.0
     sigma: int = +1
-    profile: str = "uniform"
 
     def __post_init__(self):
         if not (self.X > 0.0 and math.isfinite(self.X)):
@@ -89,8 +95,6 @@ class VortexParams:
             raise ValueError("kappa must be a number or +-inf")
         if self.sigma not in (+1, -1):
             raise ValueError(f"sigma must be +1 or -1, got {self.sigma}")
-        if self.profile not in _PROFILES:
-            raise ValueError(f"unknown profile {self.profile!r}; known: {_PROFILES}")
 
     @property
     def n_max(self) -> int:
@@ -115,49 +119,22 @@ class VortexParams:
         return self.X / (2.0 * abs(self.mu))
 
 
-def gamma_profile(x: float, params: VortexParams) -> float:
-    """Enclosed-flux function gamma(x) of the interior field.
-
-    For the uniform profile gamma(x) = mu x^2 / X^2, so gamma(0) = 0 and
-    gamma(X) = mu exactly.
-
-    Raises
-    ------
-    ValueError
-        If x lies outside [0, X].
-    """
-    if not (0.0 <= x <= params.X):
-        raise ValueError(f"x={x} outside the vortex interior [0, {params.X}]")
-    return params.mu * (x / params.X) ** 2
-
-
-def gamma_profile_deriv(x: float, params: VortexParams) -> float:
-    """d gamma/dx for the interior profile."""
-    if not (0.0 <= x <= params.X):
-        raise ValueError(f"x={x} outside the vortex interior [0, {params.X}]")
-    return 2.0 * params.mu * x / params.X ** 2
-
-
-# ---------------------------------------------------------------------------
-# mode bookkeeping
-# ---------------------------------------------------------------------------
-
 NEAR = "near"
 FAR = "far"
 
 
-@dataclass(frozen=True)
-class ModeIndex:
-    n: int
-    nu: float
-    regime: str
-
-
-def mode_index(n: int, params: VortexParams) -> ModeIndex:
-    """Classify mode n: near (nu <= X, edge in the oscillatory region)
-    or far (nu > X, edge under the centrifugal barrier)."""
-    nu = abs(n - params.mu)
-    return ModeIndex(n=n, nu=nu, regime=NEAR if nu <= params.X else FAR)
+def near_mode_range(mu: float, X: float) -> tuple[int, int]:
+    """Inclusive integer range of the near modes, those with |n - mu| <= X
+    (edge in the oscillatory region; the others are far, under the
+    centrifugal barrier)."""
+    lo = math.ceil(mu - X)
+    hi = math.floor(mu + X)
+    # guard against roundoff at |n - mu| == X
+    if abs(lo - mu) > X:
+        lo += 1
+    if abs(hi - mu) > X:
+        hi -= 1
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -175,15 +152,7 @@ class InsideSolution:
 
 @dataclass(frozen=True)
 class ModeMatch:
-    """Per-mode matching result.
-
-    ``c_n`` is the coefficient of the outgoing wave in the scattered part
-    (module docstring); for near modes it equals the edge Wronskian ratio
-    of the travelling-wave basis, for far modes it equals 1 - s_n.
-    ``b_ratio`` is the interior coefficient b_n/a_n evaluated for the
-    edge-normalised interior solution (value^2 + derivative^2 = 1), which
-    makes it invariant under rescaling of the interior solution.
-    """
+    """One row of a :class:`ModeTable`: the matching result of mode n."""
 
     n: int
     nu: float
@@ -238,8 +207,9 @@ def _kummer_branch(X, w, c0: int, top: int, m_max: int) -> list:
 
 
 def _edge_pairs(X: float, mu: float, sigma: int, n_max: int,
-                real=float, extra_start: int = 0) -> dict[int, tuple[float, float]]:
-    """Unit-normalised (tau(X), tau'(X)) for |n| <= n_max in arithmetic ``real``.
+                real=float, extra_start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-normalised (tau(X), tau'(X)) for |n| <= n_max in arithmetic
+    ``real``, as two arrays indexed by n + n_max.
 
     With z = |mu| x^2/X^2 and m = |n| the regular interior solution is the
     Landau-level function tau = x^m e^{-z/2} M(a, m+1, z), with
@@ -257,22 +227,28 @@ def _edge_pairs(X: float, mu: float, sigma: int, n_max: int,
     pad = _start_pad(X) + extra_start
     first = _kummer_branch(Xr, w, (1 - s * sigma) // 2, math.ceil(max(n_max, am + X)) + pad, n_max)
     second = _kummer_branch(Xr, -w, (1 + s * sigma) // 2, n_max + pad, n_max)
-    out: dict[int, tuple[float, float]] = {}
-    for n in range(-n_max, n_max + 1):
+    values, derivs = np.empty(2 * n_max + 1), np.empty(2 * n_max + 1)
+    for i, n in enumerate(range(-n_max, n_max + 1)):
         m = abs(n)
         wb, (q, sign) = (w, first[m]) if s * n >= 0 else (-w, second[m])
         t = float((2 * q - m - wb) / Xr)
         h = math.hypot(1.0, t)
-        out[n] = (sign / h, sign * t / h)
-    return out
+        values[i], derivs[i] = sign / h, sign * t / h
+    return _frozen(values), _frozen(derivs)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only, as every cached array is."""
+    a.flags.writeable = False
+    return a
 
 
 @lru_cache(maxsize=64)
 def _interior_edge_table(X: float, mu: float, sigma: int,
-                         n_max: int) -> dict[int, tuple[float, float]]:
+                         n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit-normalised edge pairs of every mode |n| <= n_max, keeping the
-    sign of tau(X).  Cached independently of kappa: the shell strength
-    enters only the edge matching.
+    sign of tau(X), as (values, derivatives) indexed by n + n_max.  Cached
+    independently of kappa: the shell strength enters only the matching.
 
     While the classical orbit is at least as wide as the vortex
     (2|mu| <= X) the recurrence runs in double precision.  Inside that
@@ -290,16 +266,22 @@ def _interior_edge_table(X: float, mu: float, sigma: int,
     import mpmath
 
     with mpmath.workdps(_STRONG_FIELD_DPS):
-        pairs = _edge_pairs(X, mu, sigma, n_max, mpmath.mpf)
+        (v, d) = _edge_pairs(X, mu, sigma, n_max, mpmath.mpf)
     with mpmath.workdps(2 * _STRONG_FIELD_DPS):
-        check = _edge_pairs(X, mu, sigma, n_max, mpmath.mpf, _start_pad(X))
-    for n, (v, d) in pairs.items():
-        cv, cd = check[n]
-        if max(abs(v - cv), abs(d - cd)) > _CERTIFY_TOL:
-            raise SolverFailure(
-                f"interior recurrence not certified at X={X}, mu={mu}, n={n}: "
-                f"pairs ({v:.15g}, {d:.15g}) and ({cv:.15g}, {cd:.15g})")
-    return pairs
+        (cv, cd) = _edge_pairs(X, mu, sigma, n_max, mpmath.mpf, _start_pad(X))
+    gap = np.maximum(np.abs(v - cv), np.abs(d - cd))
+    i = int(np.argmax(gap))
+    if gap[i] > _CERTIFY_TOL:
+        raise SolverFailure(
+            f"interior recurrence not certified at X={X}, mu={mu}, n={i - n_max}: "
+            f"pairs ({v[i]:.15g}, {d[i]:.15g}) and ({cv[i]:.15g}, {cd[i]:.15g})")
+    return v, d
+
+
+def _interior_cutoff(params: VortexParams) -> int:
+    """Largest |n| of the interior table: the mode window reaches
+    |round(mu)| + n_max."""
+    return params.n_max + abs(round(params.mu))
 
 
 def inside_solution(n: int, params: VortexParams) -> InsideSolution:
@@ -308,7 +290,7 @@ def inside_solution(n: int, params: VortexParams) -> InsideSolution:
     Parameters
     ----------
     n : int
-        Angular momentum index, |n| <= params.n_max.
+        Angular momentum index, |n| <= params.n_max + |round(params.mu)|.
     params : VortexParams
 
     Returns
@@ -321,11 +303,11 @@ def inside_solution(n: int, params: VortexParams) -> InsideSolution:
     SolverFailure
         If the strong-field (2|mu| > X) evaluation cannot be certified.
     """
-    nm = params.n_max
+    nm = _interior_cutoff(params)
     if abs(n) > nm:
         raise ValueError(f"|n|={abs(n)} exceeds the mode cutoff {nm}")
-    v, d = _interior_edge_table(params.X, params.mu, params.sigma, nm)[n]
-    return InsideSolution(value=v, derivative=d)
+    v, d = _interior_edge_table(params.X, params.mu, params.sigma, nm)
+    return InsideSolution(value=float(v[n + nm]), derivative=float(d[n + nm]))
 
 # ---------------------------------------------------------------------------
 # outside basis and matching
@@ -348,159 +330,133 @@ class EdgeBasis:
 
 def outside_basis_at_edge(n: int, params: VortexParams) -> EdgeBasis:
     """Values and x-derivatives at x = X of the regime-appropriate basis."""
-    mode = mode_index(n, params)
     X = params.X
-    if mode.regime == NEAR:
+    nu = abs(n - params.mu)
+    if nu <= X:
         return EdgeBasis(
             regime=NEAR,
-            minus_value=specfun.hankel_out(-1, mode.nu, X),
-            minus_deriv=specfun.hankel_out_deriv(-1, mode.nu, X),
-            plus_value=specfun.hankel_out(+1, mode.nu, X),
-            plus_deriv=specfun.hankel_out_deriv(+1, mode.nu, X),
+            minus_value=specfun.hankel_out(-1, nu, X),
+            minus_deriv=specfun.hankel_out_deriv(-1, nu, X),
+            plus_value=specfun.hankel_out(+1, nu, X),
+            plus_deriv=specfun.hankel_out_deriv(+1, nu, X),
         )
     return EdgeBasis(
         regime=FAR,
-        minus_value=specfun.bessel_j(mode.nu, X),
-        minus_deriv=specfun.bessel_j_deriv(mode.nu, X),
-        plus_value=specfun.bessel_second(mode.nu, X),
-        plus_deriv=specfun.bessel_second_deriv(mode.nu, X),
+        minus_value=specfun.bessel_j(nu, X),
+        minus_deriv=specfun.bessel_j_deriv(nu, X),
+        plus_value=specfun.bessel_second(nu, X),
+        plus_deriv=specfun.bessel_second_deriv(nu, X),
     )
-
-
-_DEGENERATE_FLOOR = 1e-300
-
-
-def match_coefficient(n: int, params: VortexParams,
-                      inside: InsideSolution | None = None) -> ModeMatch:
-    """Match the interior solution of mode n to the outside basis.
-
-    Returns the :class:`ModeMatch` with the scattered-wave coefficient
-    c_n, the S-matrix entry s_n and the interior coefficient ratio.  For
-    kappa = +-inf the Dirichlet limit is taken exactly (the interior drops
-    out of c_n and s_n; the interior wave amplitude b_ratio is 0).
-
-    Raises
-    ------
-    SolverFailure
-        If the matching denominator vanishes (an exact interior resonance,
-        which cannot occur for real kappa and is reported, not hidden).
-    """
-    mode = mode_index(n, params)
-    X = params.X
-    nu = mode.nu
-    j = specfun.bessel_j(nu, X)
-    jp = specfun.bessel_j_deriv(nu, X)
-    y = specfun.bessel_second(nu, X)
-    yp = specfun.bessel_second_deriv(nu, X)
-
-    if mode.regime == FAR and not (math.isfinite(y) and math.isfinite(yp)):
-        # the irregular member overflowed double precision: the mode sits
-        # so deep under the barrier that its coupling is exactly zero at
-        # working precision
-        return _trivial_far_match(n, params)
-
-    dirichlet = math.isinf(params.kappa)
-    if dirichlet:
-        p, q = j, y
-        b_ratio = 0.0 + 0.0j
-    else:
-        if inside is None:
-            inside = inside_solution(n, params)
-        tv, td = inside.value, inside.derivative
-        kap = params.kappa
-        # W(f, tau) + kappa f tau with W(f, g) = f g' - g f'
-        p = j * td - tv * jp + kap * j * tv
-        q = y * td - tv * yp + kap * y * tv
-        # interior coefficient for the edge-normalised solution
-        h = math.hypot(tv, td)
-        denom_b = math.sqrt(math.pi / 2.0) * complex(p, q) / h
-        if abs(denom_b) < _DEGENERATE_FLOOR:
-            raise SolverFailure(
-                f"degenerate matching denominator for mode n={n} "
-                f"(interior resonance at these parameters)")
-        b_ratio = (-2.0j / X) / denom_b
-
-    den = complex(p, q)
-    if abs(den) < _DEGENERATE_FLOOR or not (math.isfinite(den.real) and math.isfinite(den.imag)):
-        raise SolverFailure(
-            f"degenerate or non-finite matching denominator for mode n={n}")
-    s_n = -complex(p, -q) / den
-    if mode.regime == NEAR:
-        c_n = -s_n
-    else:
-        c_n = 2.0 * p / den  # equals 1 - s_n without cancellation
-    return ModeMatch(n=n, nu=nu, regime=mode.regime, c_n=c_n, s_n=s_n, b_ratio=b_ratio)
 
 
 # ---------------------------------------------------------------------------
 # mode tables
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class ModeTable:
+    """Matching results of the mode window [round(mu) - n_max,
+    round(mu) + n_max], as read-only arrays in index order.
+
+    ``c_n`` is the coefficient of the outgoing wave in the scattered part
+    (module docstring): -s_n for near modes, 1 - s_n for far modes.
+    ``b_ratio`` is the interior coefficient b_n/a_n of the edge-normalised
+    interior solution (value^2 + derivative^2 = 1), which makes it
+    invariant under rescaling of that solution.  Far modes past the tail
+    cutoff hold the free values c_n = 0, s_n = 1, b_ratio = 0 exactly.
+    ``len``, indexing and iteration give :class:`ModeMatch` rows.
+    """
+
+    params: VortexParams
+    n: np.ndarray
+    nu: np.ndarray
+    near: np.ndarray
+    c_n: np.ndarray
+    s_n: np.ndarray
+    b_ratio: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __getitem__(self, i: int) -> ModeMatch:
+        return ModeMatch(int(self.n[i]), float(self.nu[i]), NEAR if self.near[i] else FAR,
+                         complex(self.c_n[i]), complex(self.s_n[i]), complex(self.b_ratio[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
 _TAIL_EPS = 1e-14
-_TAIL_RUN = 3
-
-
-def _trivial_far_match(n: int, params: VortexParams) -> ModeMatch:
-    """Placeholder for far modes suppressed below the tail threshold."""
-    nu = abs(n - params.mu)
-    return ModeMatch(n=n, nu=nu, regime=FAR, c_n=0.0 + 0.0j, s_n=1.0 + 0.0j,
-                     b_ratio=0.0 + 0.0j)
+_DEGENERATE_FLOOR = 1e-300
 
 
 @lru_cache(maxsize=512)
-def _mode_table_cached(params: VortexParams, n_lo: int, n_hi: int) -> tuple[ModeMatch, ...]:
-    center = round(params.mu)
-    center = min(max(center, n_lo), n_hi)
-    matches: dict[int, ModeMatch] = {}
+def mode_table(params: VortexParams) -> ModeTable:
+    """Match every mode of the window around round(mu) in one vectorised
+    pass.
 
-    def sweep(indices):
-        tiny_run = 0
-        for n in indices:
-            if tiny_run >= _TAIL_RUN:
-                matches[n] = _trivial_far_match(n, params)
-                continue
-            try:
-                m = match_coefficient(n, params)
-            except ValueError as exc:
-                # deep-forbidden modes where the irregular member overflows
-                # are physically fully suppressed
-                if abs(n - params.mu) > params.X:
-                    matches[n] = _trivial_far_match(n, params)
-                    tiny_run += 1
-                    continue
-                raise SolverFailure(f"mode n={n}: {exc}") from exc
-            except SolverFailure as exc:
-                raise SolverFailure(f"mode n={n}: {exc}") from exc
-            matches[n] = m
-            if m.regime == FAR and abs(m.c_n) < _TAIL_EPS:
-                tiny_run += 1
-            else:
-                tiny_run = 0
-
-    sweep(range(center, n_hi + 1))
-    sweep(range(center - 1, n_lo - 1, -1))
-    return tuple(matches[n] for n in range(n_lo, n_hi + 1))
-
-
-def mode_table(params: VortexParams, n_range: tuple[int, int] | None = None) -> list[ModeMatch]:
-    """Matching results for every mode in ``n_range`` (inclusive).
-
-    The default range is [-n_max, n_max].  The table is deterministic and
-    independent of evaluation order; far-mode entries are truncated to
-    exactly zero once |c_n| < 1e-14 for three consecutive modes on each
-    side (their contribution is below double precision in any amplitude).
+    Every order nu = |n - mu| lies in [0, n_max + 1/2].  The table keeps
+    the modes outward from round(mu) up to three consecutive far modes
+    with |c_n| < 1e-14 on each side; beyond them the free values are
+    exact at double precision in any amplitude.  A far mode whose
+    irregular member overflows double precision sits so deep under the
+    barrier that its coupling is exactly zero.  For kappa = +-inf the
+    Dirichlet limit is taken exactly: the interior drops out of c_n and
+    s_n, and b_ratio is 0.  The table is cached and deterministic.
 
     Raises
     ------
     SolverFailure
-        On any per-mode failure, with the offending mode index attached.
+        If an order or X lies outside the cylinder functions' supported
+        range, if a side of the window ends before the tail cutoff, if
+        the interior cannot be certified, or if a kept mode's matching
+        denominator vanishes (an exact interior resonance, which cannot
+        occur for real kappa and is reported, not hidden).
     """
-    if n_range is None:
-        n_lo, n_hi = -params.n_max, params.n_max
-    else:
-        n_lo, n_hi = n_range
-        if n_lo > n_hi:
-            raise ValueError(f"empty mode range {n_range}")
-        if max(abs(n_lo), abs(n_hi)) > params.n_max:
-            raise ValueError(f"mode range {n_range} exceeds cutoff {params.n_max}")
-    return list(_mode_table_cached(params, n_lo, n_hi))
+    X, mu, kappa = params.X, params.mu, params.kappa
+    ic = params.n_max
+    n = np.arange(round(mu) - ic, round(mu) + ic + 1)
+    nu = np.abs(n - mu)
+    near = nu <= X
+    if not (nu.max() <= specfun.SUPPORTED_MAX_ORDER and X <= specfun.SUPPORTED_MAX_ARGUMENT):
+        raise SolverFailure(
+            f"X={X}, mu={mu}: orders up to {nu.max():g} at argument {X:g} lie outside "
+            f"the supported range (order <= {specfun.SUPPORTED_MAX_ORDER:g}, "
+            f"argument <= {specfun.SUPPORTED_MAX_ARGUMENT:g})")
+    with np.errstate(all="ignore"):
+        j, jp = specfun.bessel_j(nu, X), specfun.bessel_j_deriv(nu, X)
+        y, yp = specfun.bessel_second(nu, X), specfun.bessel_second_deriv(nu, X)
+        live = near | (np.isfinite(y) & np.isfinite(yp))
+        if math.isinf(kappa):
+            p, q = j, y
+        else:
+            nm = _interior_cutoff(params)
+            tv, td = (a[n + nm] for a in _interior_edge_table(X, mu, params.sigma, nm))
+            # W(f, tau) + kappa f tau with W(f, g) = f g' - g f'
+            p = j * td - tv * jp + kappa * j * tv
+            q = y * td - tv * yp + kappa * y * tv
+        den = p + 1j * q
+        s_n = -np.conj(den) / den
+        c_n = np.where(near, -s_n, 2.0 * p / den)  # far: 1 - s_n without cancellation
+        if math.isinf(kappa):
+            b_ratio = np.zeros(len(n), complex)
+        else:
+            b_ratio = (-2.0j / X) / (math.sqrt(math.pi / 2.0) * den / np.hypot(tv, td))
+    c_n[~live] = 0.0
+    tiny = ~near & (np.abs(c_n) < _TAIL_EPS)
+    run = tiny[:-2] & tiny[1:-1] & tiny[2:]  # modes i, i+1, i+2 all tiny
+    up, down = np.flatnonzero(run[ic:]), np.flatnonzero(run[:ic - 2])
+    if not (len(up) and len(down)):
+        raise SolverFailure(
+            f"X={X}, mu={mu}: |c_n| stays above {_TAIL_EPS:g} up to the end of "
+            f"the mode window [{n[0]}, {n[-1]}]")
+    kept = np.zeros(len(n), bool)
+    kept[down[-1]:ic + up[0] + 3] = True
+    bad = np.flatnonzero(kept & live & ~(np.isfinite(den) & (np.abs(den) >= _DEGENERATE_FLOOR)))
+    if len(bad):
+        raise SolverFailure(
+            f"degenerate or non-finite matching denominator for mode n={n[bad[0]]} "
+            f"at X={X}, mu={mu} (interior resonance at these parameters)")
+    free = ~(kept & live)
+    c_n[free], s_n[free], b_ratio[free] = 0.0, 1.0, 0.0
+    return ModeTable(params, *map(_frozen, (n, nu, near, c_n, s_n, b_ratio)))

@@ -30,8 +30,10 @@ Conventions
     Ai(y) = pi^(-1) * integral_0^inf cos(y u + u^3/3) du; exponentially
     damped for y > 0, oscillating for y < 0.
 
-Supported range: 0 <= nu <= 500 and 0 < x <= 1000 for the cylinder
-functions, |y| <= 100 for Ai.  All functions are pure and reentrant.
+Supported range: 0 <= nu <= 1250 and 0 < x <= 1000 for the cylinder
+functions, |y| <= 100 for Ai.  The real cylinder functions also accept a
+numpy array of orders, checked as a whole.  All functions are pure and
+reentrant.
 
 Derivatives are produced by the standard recurrence
 C'_nu = (C_{nu-1} - C_{nu+1}) / 2, never by finite differences, because
@@ -42,60 +44,67 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy import special as _sp
 
-SUPPORTED_MAX_ORDER = 500.0
+SUPPORTED_MAX_ORDER = 1250.0
 SUPPORTED_MAX_ARGUMENT = 1000.0
 SUPPORTED_MAX_AIRY = 100.0
 
 
-def _check_order_arg(nu: float, x: float) -> None:
-    if not (0.0 <= nu <= SUPPORTED_MAX_ORDER) or not math.isfinite(nu):
-        raise ValueError(f"order nu={nu} outside supported range [0, {SUPPORTED_MAX_ORDER}]")
+def _check_order_arg(nu, x: float) -> None:
+    lo, hi = (nu.min(), nu.max()) if isinstance(nu, np.ndarray) else (nu, nu)
+    if not (0.0 <= lo and hi <= SUPPORTED_MAX_ORDER):
+        raise ValueError(f"order nu in [{lo}, {hi}] outside supported range "
+                         f"[0, {SUPPORTED_MAX_ORDER}]")
     if not (0.0 < x <= SUPPORTED_MAX_ARGUMENT):
         raise ValueError(f"argument x={x} outside supported range (0, {SUPPORTED_MAX_ARGUMENT}]")
 
 
-def bessel_j(nu: float, x: float) -> float:
+def _cylinder(fn, nu, x: float):
+    """Range-checked ``fn(nu, x)``: an array for an array of orders, else a
+    float."""
+    _check_order_arg(nu, x)
+    out = fn(nu, x)
+    return out if isinstance(nu, np.ndarray) else float(out)
+
+
+def bessel_j(nu, x):
     """Regular cylinder function J_nu(x) for real nonnegative order.
 
     Parameters
     ----------
-    nu : float
-        Order, 0 <= nu <= 500.
+    nu : float or ndarray
+        Order, 0 <= nu <= 1250.
     x : float
         Argument, 0 < x <= 1000.
 
     Returns
     -------
-    float
+    float or ndarray
         J_nu(x).  Relative accuracy ~1e-13 over the supported range;
         underflows gracefully to 0 deep in the classically forbidden
         region nu >> x.
     """
-    _check_order_arg(nu, x)
-    return float(_sp.jv(nu, x))
+    return _cylinder(_sp.jv, nu, x)
 
 
-def bessel_j_deriv(nu: float, x: float) -> float:
+def bessel_j_deriv(nu, x):
     """d/dx J_nu(x) via the recurrence (J_{nu-1} - J_{nu+1})/2."""
-    _check_order_arg(nu, x)
-    return float(_sp.jvp(nu, x))
+    return _cylinder(_sp.jvp, nu, x)
 
 
-def bessel_second(nu: float, x: float) -> float:
+def bessel_second(nu, x):
     """Second cylinder solution Y_nu(x), see module docstring for the
     normalisation.  May overflow to -inf extremely deep in the forbidden
-    region (nu >> x); callers in the mode loop truncate long before that.
+    region (nu >> x); the mode table treats such far modes as decoupled.
     """
-    _check_order_arg(nu, x)
-    return float(_sp.yv(nu, x))
+    return _cylinder(_sp.yv, nu, x)
 
 
-def bessel_second_deriv(nu: float, x: float) -> float:
+def bessel_second_deriv(nu, x):
     """d/dx Y_nu(x) via the recurrence (Y_{nu-1} - Y_{nu+1})/2."""
-    _check_order_arg(nu, x)
-    return float(_sp.yvp(nu, x))
+    return _cylinder(_sp.yvp, nu, x)
 
 
 def hankel_out(kind: int, nu: float, x: float) -> complex:

@@ -123,10 +123,13 @@ def test_f3_fraction_decreases_with_radius():
 
 
 def test_fc_sums_requires_covering_table():
+    # a table built for other parameters (here the other spin) is refused
     p = VortexParams(X=30.0, mu=0.3, kappa=0.0)
-    partial = mode_table(p, (-5, 5))
+    other = mode_table(VortexParams(X=30.0, mu=0.3, kappa=0.0, sigma=-1))
     with pytest.raises(ValueError):
-        amp.fc_sums(0.3, p, partial)
+        amp.fc_sums(0.3, p, other)
+    with pytest.raises(ValueError):
+        amp.cross_section_curve(p, np.array([0.3]), amp.EXACT, other)
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +178,6 @@ def test_exact_curve_reuses_mode_sums_bit_for_bit():
     f2, f3 = amp.fc_sums(g, p)
     assert np.array_equal(ex["f1"], amp.f1_sum(g, p))
     assert np.array_equal(ex["f2"], f2) and np.array_equal(ex["f3"], f3)
-
-
-def test_breakdown_matches_curve():
-    p = VortexParams(X=20.0, mu=0.7, kappa=0.5)
-    tab = mode_table(p)
-    b = amp.amplitude_breakdown(0.4, p, tab)
-    curve = amp.cross_section_curve(p, np.array([0.4]), amp.EXACT, tab)
-    assert abs(b.total) ** 2 == pytest.approx(curve.value[0], rel=1e-12)
 
 
 def test_spin_flip_curve_symmetry_without_shell():

@@ -345,7 +345,8 @@ def test_penetration_strong_branch_equals_classical():
     for phi in np.linspace(-3.0, 3.0, 31):
         val, branch = penetration_cs(float(phi), mu, X)
         assert branch == "Strong"
-        assert val == pytest.approx(classical_cs(float(phi), rho, +1), abs=1e-12)
+        assert val == classical_cs(float(phi), rho, +1)
+        assert penetration_cs(float(phi), -mu, X)[0] == classical_cs(float(phi), rho, -1)
 
 
 def test_penetration_branch_layout_weak_field():

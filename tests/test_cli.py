@@ -122,6 +122,17 @@ def test_sweep_periodicity_and_structure(tmp_path):
         assert by_mu[mu] == by_mu[mu + 1.0]
 
 
+def test_sweep_reports_a_failed_peak_search(tmp_path, monkeypatch):
+    # a failing peak search is an error, not a row of empty cells
+    def failing(mu, X):
+        raise ValueError("no bracket")
+
+    monkeypatch.setattr(cli, "_fringe_peaks", failing)
+    out = tmp_path / "fr.csv"
+    assert run(["sweep", "--kr-c", "100", "--out", str(out)]) == cli.EXIT_INVALID
+    assert not out.exists()
+
+
 def test_sweep_half_quantum_forward_minimum(tmp_path):
     # at mu = 1/2 the central fringe is a null: the pattern shows two
     # symmetric peaks instead of a forward one

@@ -2,26 +2,57 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from vortexscatter import specfun
+from vortexscatter import radial, specfun
 from vortexscatter.radial import (
     FAR,
     NEAR,
     InsideSolution,
+    ModeMatch,
+    SolverFailure,
     VortexParams,
-    gamma_profile,
-    gamma_profile_deriv,
     inside_solution,
-    match_coefficient,
-    mode_index,
     mode_table,
+    near_mode_range,
     outside_basis_at_edge,
 )
 
 
+def match_coefficient(n, params, inside=None):
+    """Scalar oracle for one mode of the table: four scalar cylinder-function
+    calls and CPython complex arithmetic, with the table's Dirichlet limit
+    and its rule that a far mode whose irregular member overflows is free.
+    ``inside`` replaces the interior pair (for the scale-invariance check)."""
+    X, nu = params.X, abs(n - params.mu)
+    near = nu <= X
+    j, jp = specfun.bessel_j(nu, X), specfun.bessel_j_deriv(nu, X)
+    y, yp = specfun.bessel_second(nu, X), specfun.bessel_second_deriv(nu, X)
+    if not near and not (math.isfinite(y) and math.isfinite(yp)):
+        return ModeMatch(n=n, nu=nu, regime=FAR, c_n=0j, s_n=1 + 0j, b_ratio=0j)
+    if math.isinf(params.kappa):
+        p, q, b_ratio = j, y, 0j
+    else:
+        inside = inside or inside_solution(n, params)
+        tv, td, kap = inside.value, inside.derivative, params.kappa
+        p = j * td - tv * jp + kap * j * tv
+        q = y * td - tv * yp + kap * y * tv
+        b_ratio = (-2.0j / X) / (math.sqrt(math.pi / 2.0) * complex(p, q) / math.hypot(tv, td))
+    den = complex(p, q)
+    s_n = -complex(p, -q) / den
+    c_n = -s_n if near else 2.0 * p / den
+    return ModeMatch(n=n, nu=nu, regime=NEAR if near else FAR, c_n=c_n, s_n=s_n, b_ratio=b_ratio)
+
+
+def table_row(params, n):
+    """Row n of the mode table of ``params``."""
+    tab = mode_table(params)
+    return tab[n - int(tab.n[0])]
+
+
 # ---------------------------------------------------------------------------
-# parameters and profile
+# parameters and mode regimes
 # ---------------------------------------------------------------------------
 
 def test_params_validation():
@@ -29,30 +60,22 @@ def test_params_validation():
         VortexParams(X=0.0, mu=1.0)
     with pytest.raises(ValueError):
         VortexParams(X=10.0, mu=1.0, sigma=2)
-    with pytest.raises(ValueError):
-        VortexParams(X=10.0, mu=1.0, profile="gaussian")
     p = VortexParams(X=30.0, mu=0.3, kappa=math.inf)
     assert p.is_large_radius
     assert p.orbit_radius_ratio == 30.0 / 0.6
 
 
-def test_gamma_profile_values():
-    p = VortexParams(X=20.0, mu=0.7)
-    assert gamma_profile(0.0, p) == 0.0
-    assert gamma_profile(20.0, p) == pytest.approx(0.7, abs=0.0)
-    p2 = VortexParams(X=20.0, mu=1.2)
-    assert gamma_profile(10.0, p2) == pytest.approx(0.3, rel=1e-15)
-    with pytest.raises(ValueError):
-        gamma_profile(21.0, p)
-    assert gamma_profile_deriv(20.0, p) == pytest.approx(2 * 0.7 / 20.0)
-
-
 def test_mode_index_regimes():
     p = VortexParams(X=10.0, mu=0.4)
-    assert mode_index(3, p).regime == NEAR
-    assert mode_index(3, p).nu == pytest.approx(2.6)
-    assert mode_index(11, p).regime == FAR
-    assert mode_index(-10, p).regime == FAR  # nu = 10.4 > 10
+    assert table_row(p, 3).regime == NEAR
+    assert table_row(p, 3).nu == pytest.approx(2.6)
+    assert table_row(p, 11).regime == FAR
+    assert table_row(p, -10).regime == FAR  # nu = 10.4 > 10
+    # the table's near mask is near_mode_range, also where |n - mu| == X
+    for X, mu in ((10.0, 0.4), (9.75, 0.25), (9.75, -0.25), (30.0, -7.5)):
+        tab = mode_table(VortexParams(X=X, mu=mu))
+        lo, hi = near_mode_range(mu, X)
+        assert tab.n[tab.near].tolist() == list(range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +188,11 @@ def test_outside_basis_near_recombination():
 def test_free_case_matching():
     p = VortexParams(X=10.0, mu=0.0, kappa=0.0)
     for n in (0, 3, -7):
-        m = match_coefficient(n, p)
+        m = table_row(p, n)
         assert m.regime == NEAR
         assert abs(m.c_n + 1.0) < 1e-10
         assert abs(m.s_n - 1.0) < 1e-10
-    far = match_coefficient(14, p)
+    far = table_row(p, 14)
     assert far.regime == FAR
     assert abs(far.c_n) < 1e-10
     assert abs(far.s_n - 1.0) < 1e-10
@@ -177,12 +200,12 @@ def test_free_case_matching():
 
 def test_dirichlet_limit():
     p_inf = VortexParams(X=30.0, mu=0.37, kappa=math.inf)
-    m_inf = match_coefficient(5, p_inf)
-    m_big = match_coefficient(5, VortexParams(X=30.0, mu=0.37, kappa=1e8))
+    m_inf = table_row(p_inf, 5)
+    m_big = table_row(VortexParams(X=30.0, mu=0.37, kappa=1e8), 5)
     assert abs(m_inf.c_n - m_big.c_n) < 1e-6
     assert m_inf.b_ratio == 0.0
     # monotone approach ~ C/kappa
-    errs = [abs(match_coefficient(5, VortexParams(X=30.0, mu=0.37, kappa=k)).c_n
+    errs = [abs(table_row(VortexParams(X=30.0, mu=0.37, kappa=k), 5).c_n
                 - m_inf.c_n) for k in (1e2, 1e4, 1e6, 1e8)]
     assert errs[0] > errs[1] > errs[2] > errs[3]
     assert errs[1] <= 2.0 * errs[0] * 1e-2
@@ -211,7 +234,7 @@ def test_scale_invariance_of_matching():
 
 def test_interior_amplitude_finite_for_penetrable_shell():
     p = VortexParams(X=15.0, mu=0.8, kappa=2.0)
-    m = match_coefficient(3, p)
+    m = table_row(p, 3)
     assert m.b_ratio != 0.0
     assert abs(m.b_ratio) < 1e3
 
@@ -232,8 +255,8 @@ def test_spin_channel_pairing_without_shell():
     pa = VortexParams(X=40.0, mu=2.3, kappa=0.0, sigma=+1)
     pb = VortexParams(X=40.0, mu=2.3, kappa=0.0, sigma=-1)
     for n in (-4, 0, 7):
-        ca = match_coefficient(n, pa).c_n
-        cb = match_coefficient(n + 1, pb).c_n
+        ca = table_row(pa, n).c_n
+        cb = table_row(pb, n + 1).c_n
         assert ca == pytest.approx(cb, abs=1e-9)
 
 
@@ -272,8 +295,52 @@ def test_mode_table_far_decay_beyond_turning_point():
 
 
 def test_mode_table_range_validation():
-    p = VortexParams(X=10.0, mu=0.0)
-    with pytest.raises(ValueError):
-        mode_table(p, (5, 4))
-    with pytest.raises(ValueError):
-        mode_table(p, (-p.n_max - 5, p.n_max))
+    # arguments and orders beyond the cylinder functions' range are refused
+    # up front, naming the scenario: at X = 1100 the argument, at X = 1200
+    # also the orders n_max + 1/2 = 1353.5
+    for X in (1100.0, 1200.0):
+        with pytest.raises(SolverFailure, match=f"X={X}, mu=0.3"):
+            mode_table(VortexParams(X=X, mu=0.3))
+
+
+@pytest.mark.parametrize("X", [30.0, 100.0, 200.0, 480.0])
+def test_mode_table_matches_scalar_oracle(X):
+    # every mode of both flux signs, three shell strengths and both spins;
+    # c_n and s_n differ from the oracle only by numpy's complex division
+    for mu in (0.15 * X + 0.37, -(0.15 * X + 0.37)):
+        for kappa in (0.0, 2.5, math.inf):
+            for sigma in (+1, -1):
+                p = VortexParams(X=X, mu=mu, kappa=kappa, sigma=sigma)
+                tab = mode_table(p)
+                assert tab.n.tolist() == list(range(round(mu) - p.n_max, round(mu) + p.n_max + 1))
+                free = ~tab.near & (tab.c_n == 0.0) & (tab.s_n == 1.0) & (tab.b_ratio == 0.0)
+                lo, hi = np.flatnonzero(~free)[[0, -1]]
+                assert free[:lo].all() and free[hi + 1:].all() and not free[lo:hi + 1].any()
+                for i, m in enumerate(tab):
+                    ref = match_coefficient(m.n, p)
+                    assert (m.n, m.nu, m.regime) == (ref.n, ref.nu, ref.regime)
+                    if free[i]:  # past the tail cutoff
+                        assert abs(ref.c_n) < 1e-14 and abs(ref.s_n - 1.0) < 1e-14
+                        continue
+                    assert abs(m.c_n - ref.c_n) <= 4.5e-16, (p, m.n)
+                    assert abs(m.s_n - ref.s_n) <= 4.5e-16, (p, m.n)
+                    assert abs(m.b_ratio - ref.b_ratio) <= 1e-13 * abs(ref.b_ratio), (p, m.n)
+
+
+@pytest.mark.parametrize("X, mu, kappa", [
+    (480.0, 90.1, 3.0), (480.0, -70.3, 0.0), (480.0, 40.7, math.inf), (1000.0, 50.3, 1.0)])
+def test_mode_table_tail_reaches_cutoff_at_large_radius(X, mu, kappa):
+    # the outermost computed far mode on each side lies below the 1e-14
+    # cutoff; orders above 500 once ended the X = 480 tables at |c_n| ~ 5e-4
+    tab = mode_table(VortexParams(X=X, mu=mu, kappa=kappa))
+    computed = np.flatnonzero(tab.c_n != 0.0)
+    for i in (computed[0], computed[-1]):
+        assert not tab.near[i] and abs(tab.c_n[i]) < 1e-14
+    assert tab.c_n[0] == 0.0 and tab.c_n[-1] == 0.0
+
+
+def test_mode_table_refuses_window_without_tail(monkeypatch):
+    # no |c_n| falls below a zero cutoff, so no window is wide enough
+    monkeypatch.setattr(radial, "_TAIL_EPS", 0.0)
+    with pytest.raises(SolverFailure, match="X=30.0, mu=0.123"):
+        mode_table.__wrapped__(VortexParams(X=30.0, mu=0.123))

@@ -78,9 +78,36 @@ def test_bessel_j_domain_errors():
     with pytest.raises(ValueError):
         specfun.bessel_j(1.0, -2.0)
     with pytest.raises(ValueError):
-        specfun.bessel_j(501.0, 10.0)
+        specfun.bessel_j(specfun.SUPPORTED_MAX_ORDER + 1.0, 10.0)
     with pytest.raises(ValueError):
         specfun.bessel_j(1.0, 1001.0)
+    # an array of orders is checked as a whole
+    with pytest.raises(ValueError):
+        specfun.bessel_second(np.array([3.0, specfun.SUPPORTED_MAX_ORDER + 1.0]), 10.0)
+
+
+def test_cylinder_functions_on_order_arrays_equal_scalar_calls():
+    nus = np.array([0.0, 0.37, 12.6, 999.37, 1040.0, 1146.0])
+    for fn in (specfun.bessel_j, specfun.bessel_j_deriv,
+               specfun.bessel_second, specfun.bessel_second_deriv):
+        got = fn(nus, 1000.0)
+        assert isinstance(fn(0.37, 1000.0), float)
+        assert got.tolist() == [fn(float(nu), 1000.0) for nu in nus]
+
+
+def test_large_orders_against_mpmath():
+    # the mode window at X reaches orders X + 12 X^(1/3) + 25; check J and Y
+    # from X - 40 to X + 160 (non-integer orders, every 10) at the largest
+    # radii the window uses
+    import mpmath
+
+    with mpmath.workdps(30):
+        for x in (480.0, 1000.0):
+            for nu in x - 40.0 + 10.0 * np.arange(21) + 0.3:
+                j = float(mpmath.besselj(nu, x))
+                y = float(mpmath.bessely(nu, x))
+                assert specfun.bessel_j(nu, x) == pytest.approx(j, rel=1e-12), (nu, x)
+                assert specfun.bessel_second(nu, x) == pytest.approx(y, rel=1e-12), (nu, x)
 
 
 # ---------------------------------------------------------------------------
