@@ -23,7 +23,6 @@ from .amplitudes import (
     default_angle_grid,
     f1_sum,
     fc_sums,
-    incoming_coefficient,
     refined_angle_grid,
 )
 from .asymptotics import (
@@ -60,8 +59,8 @@ __all__ = [
     "ModeMatch", "ModeTable", "SolverFailure", "StationaryPhaseReport",
     "VortexParams", "WKBPhase", "ab_amplitude", "classical_cs",
     "cross_section_curve", "default_angle_grid", "deflection", "f1_sum",
-    "f2_asymptotic", "fc_sums", "fraunhofer_cs", "incoming_coefficient",
-    "inside_solution", "mode_table", "outside_basis_at_edge",
-    "penetration_cs", "poisson_stationary_sum", "rainbow_angle", "rainbow_cs",
+    "f2_asymptotic", "fc_sums", "fraunhofer_cs", "inside_solution",
+    "mode_table", "outside_basis_at_edge", "penetration_cs",
+    "poisson_stationary_sum", "rainbow_angle", "rainbow_cs",
     "refined_angle_grid", "xi_phase", "zeta_phase",
 ]

@@ -23,8 +23,9 @@ near-mode combination sum P_n (1 + c_n) cancels identically, so the
 scattered amplitude is accumulated in exactly that form and split into
 f1 and f2 afterwards.
 
-Sums run in fixed index order with Neumaier compensation, so identical
-inputs give bit-identical outputs.
+Each mode sum is one fixed-order contraction over the modes, taken in
+blocks of angles, so identical inputs give identical bits at any BLAS
+thread count and the phase matrix never exceeds one block.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 from .radial import ModeTable, VortexParams, mode_table, near_mode_range
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+_BLOCK = 256  # angles per phase-matrix block of a mode sum
 
 #: canonical method tags for cross-section curves
 EXACT = "Exact"
@@ -47,13 +49,6 @@ CLASSICAL = "Classical"
 AB = "AB"
 
 METHOD_TAGS = (EXACT, FRAUNHOFER, PENETRATION, RAINBOW, CLASSICAL, AB)
-
-
-def incoming_coefficient(n: int, mu: float) -> complex:
-    """Partial-wave coefficient of the unit-amplitude incoming wave,
-    a_n = (2 pi)^(-1/2) e^{i(|n| - |n - mu|/2) pi}."""
-    phase = (abs(n) - 0.5 * abs(n - mu)) * math.pi
-    return complex(math.cos(phase), math.sin(phase)) / SQRT_2PI
 
 
 def flux_phase(n, mu: float):
@@ -91,31 +86,22 @@ def ab_amplitude(phi, mu: float):
     return out if out.ndim else complex(out)
 
 
-def _neumaier(terms: np.ndarray) -> np.ndarray:
-    """Compensated fixed-order sum along axis 0 of a complex array."""
-    sr = np.zeros(terms.shape[1:])
-    si = np.zeros_like(sr)
-    cr = np.zeros_like(sr)
-    ci = np.zeros_like(sr)
-    for t in terms:
-        tr, ti = t.real, t.imag
-        s = sr + tr
-        cr += np.where(np.abs(sr) >= np.abs(tr), (sr - s) + tr, (tr - s) + sr)
-        sr = s
-        s = si + ti
-        ci += np.where(np.abs(si) >= np.abs(ti), (si - s) + ti, (ti - s) + si)
-        si = s
-    return (sr + cr) + 1j * (si + ci)
+def _mode_sum(phi, ns: np.ndarray, weights):
+    """(i/sqrt(2 pi)) sum_n weights_n e^{i n phi} over a scalar angle or an
+    angle grid; ``weights`` is one row of per-mode weights, or a 2-d array
+    with one row per sum.
 
-
-def _mode_sum(phi, ns: np.ndarray, weights: np.ndarray):
-    """(i/sqrt(2 pi)) sum_n weights_n e^{i n phi}, compensated, over a
-    scalar angle or an angle grid."""
+    einsum's own loop contracts each block of _BLOCK angles; a BLAS
+    product (``@``) would change bits with the BLAS thread count.
+    """
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
-    terms = weights[:, None] * np.exp(1j * np.outer(ns, phi_arr))
-    total = _neumaier(terms)
+    weights = np.asarray(weights)
+    total = np.empty(weights.shape[:-1] + phi_arr.shape, dtype=complex)
+    for start in range(0, len(phi_arr), _BLOCK):
+        block = np.exp(np.outer(ns, 1j * phi_arr[start:start + _BLOCK]))
+        total[..., start:start + _BLOCK] = np.einsum("...n,nb->...b", weights, block)
     total = 1j / SQRT_2PI * total
-    return total if np.ndim(phi) else complex(total[0])
+    return total if np.ndim(phi) else total[..., 0][()]
 
 
 def f1_sum(phi, params: VortexParams):
@@ -162,19 +148,14 @@ def _table_sums(phi, params: VortexParams, table: ModeTable | None):
         table = mode_table(params)
     elif table.params != params:
         raise ValueError(f"mode table built for {table.params}, not for {params}")
-    near = table.near
-    far = ~near & (table.c_n != 0.0)
-    p = np.asarray(flux_phase(table.n, params.mu))
+    kept = table.near | (table.c_n != 0.0)
+    n, near, c = table.n[kept], table.near[kept], table.c_n[kept]
+    p = np.asarray(flux_phase(n, params.mu))
 
-    f1 = _mode_sum(phi, table.n[near], p[near])
-    combined = _mode_sum(phi, table.n[near], p[near] * (1.0 + table.c_n[near]))
-    f2 = combined - f1
-
-    if far.any():
-        f3 = _mode_sum(phi, table.n[far], p[far] * table.c_n[far])
-    else:
-        f3 = np.zeros_like(np.atleast_1d(f1)) if np.ndim(phi) else 0.0j
-    return f1, f2, f3
+    f1 = _mode_sum(phi, n[near], p[near])
+    combined, f3 = _mode_sum(phi, n, [np.where(near, p * (1.0 + c), 0.0),
+                                      np.where(near, 0.0, p * c)])
+    return f1, combined - f1, f3
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +194,6 @@ class CrossSectionCurve:
     value: np.ndarray
     method: str
     extras: dict = field(default_factory=dict)
-
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        return list(zip(self.phi.tolist(), self.value.tolist()))
 
 
 def cross_section_curve(params: VortexParams, grid: np.ndarray | None = None,

@@ -134,17 +134,13 @@ class WKBPhase:
     y0: float
 
 
-def zeta_phase(n: float, mu: float, X: float, method: str = "closed") -> WKBPhase:
+def zeta_phase(n: float, mu: float, X: float) -> WKBPhase:
     """Inside WKB phase at the edge for the uniform profile.
 
     Parameters
     ----------
     n, mu, X : float
         Mode index (may be real), flux, radius; mu must be nonzero.
-    method : {"closed", "quadrature"}
-        The closed form, or the singularity-removed quadrature of the
-        defining integral (which also serves as its independent check and
-        supports future non-uniform profiles).
 
     Raises
     ------
@@ -156,34 +152,11 @@ def zeta_phase(n: float, mu: float, X: float, method: str = "closed") -> WKBPhas
     nu = n - mu
     if abs(nu) > X * (1.0 + _CLAMP_TOL):
         raise ForbiddenModeError(f"mode order |n-mu|={abs(nu)} exceeds the radius X={X}")
-    y0 = turning_point(n, mu, X)
-    if method == "closed":
-        s, a1, a2 = _uniform_acos_args(n, mu, X)
-        zeta = (0.5 * math.sqrt(max(X * X - nu * nu, 0.0))
-                + (X * X + 2.0 * mu * n) / (4.0 * abs(mu)) * a1
-                - 0.5 * abs(n) * a2)
-    elif method == "quadrature":
-        zeta = _zeta_quadrature(n, mu, X, y0)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return WKBPhase(xi=xi_phase(n, mu, X), zeta=zeta, y0=y0)
-
-
-def _zeta_quadrature(n: float, mu: float, X: float, y0: float) -> float:
-    """Quadrature of the inside phase with the inverse-square-root endpoint
-    singularity removed by u = y0 + t^2."""
-    from scipy.integrate import quad
-
-    def p2(u):
-        g = mu * u * u / (X * X)
-        return 1.0 - ((n - g) / u) ** 2
-
-    if y0 <= 0.0:
-        val, _ = quad(lambda u: math.sqrt(max(p2(u), 0.0)), 0.0, X, limit=400)
-        return val
-    T = math.sqrt(max(X - y0, 0.0))
-    val, _ = quad(lambda t: 2.0 * t * math.sqrt(max(p2(y0 + t * t), 0.0)), 0.0, T, limit=400)
-    return val
+    _, a1, a2 = _uniform_acos_args(n, mu, X)
+    zeta = (0.5 * math.sqrt(max(X * X - nu * nu, 0.0))
+            + (X * X + 2.0 * mu * n) / (4.0 * abs(mu)) * a1
+            - 0.5 * abs(n) * a2)
+    return WKBPhase(xi=xi_phase(n, mu, X), zeta=zeta, y0=turning_point(n, mu, X))
 
 
 def zeta_phase_dn(n: float, mu: float, X: float) -> float:

@@ -295,15 +295,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Differential cross sections for scattering by a penetrable magnetic vortex")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_physics(sp, with_mu=True):
+    def add_physics(sp, with_vortex=True):
         sp.add_argument("--scenario", help="key=value scenario file; flags override it")
         sp.add_argument("--kr-c", type=float, help="dimensionless vortex radius k r_c")
-        if with_mu:
+        if with_vortex:  # the sweep's closed-form pattern depends on k r_c alone
             sp.add_argument("--mu", type=float, help="flux in flux quanta")
-        sp.add_argument("--kappa", type=_parse_kappa, default=None,
-                        help="shell strength kappa/k; 'inf' for the impenetrable vortex")
-        sp.add_argument("--sigma", type=int, choices=(-1, 1), default=None,
-                        help="spin projection")
+            sp.add_argument("--kappa", type=_parse_kappa, default=None,
+                            help="shell strength kappa/k; 'inf' for the impenetrable vortex")
+            sp.add_argument("--sigma", type=int, choices=(-1, 1), default=None,
+                            help="spin projection")
         sp.add_argument("--out", help="output CSV path")
 
     c = sub.add_parser("curve", help="sample cross-section curves to CSV")
@@ -317,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="report k d(sigma)/(dz dphi) ('k') or divide by k r_c ('rc')")
 
     s = sub.add_parser("sweep", help="flux sweep of diffraction-fringe peaks")
-    add_physics(s, with_mu=False)
+    add_physics(s, with_vortex=False)
     s.add_argument("--mu-min", type=float, default=0.0)
     s.add_argument("--mu-max", type=float, default=3.0)
     s.add_argument("--mu-steps", type=int, default=13)
@@ -380,11 +380,8 @@ def main(argv=None) -> int:
             X = args.kr_c if args.kr_c is not None else float(file_vals.get("kr_c", "nan"))
             if math.isnan(X):
                 raise ValueError("kr_c is required")
-            kappa = args.kappa if args.kappa is not None else 0.0
-            sigma = args.sigma if args.sigma is not None else +1
-            base = VortexParams(X=X, mu=0.0, kappa=kappa, sigma=sigma)
             mu_grid = np.linspace(args.mu_min, args.mu_max, args.mu_steps)
-            path = fringe_sweep(base, mu_grid, args.out or "fringes.csv")
+            path = fringe_sweep(VortexParams(X=X, mu=0.0), mu_grid, args.out or "fringes.csv")
             print(f"wrote {path}")
             return EXIT_OK
         if args.command == "compare":

@@ -3,6 +3,10 @@ closed-form oracles, decomposition properties."""
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,14 +17,8 @@ from vortexscatter.radial import VortexParams, mode_table
 
 
 # ---------------------------------------------------------------------------
-# incoming coefficients and phase factors
+# phase factors
 # ---------------------------------------------------------------------------
-
-def test_incoming_coefficient_values():
-    assert amp.incoming_coefficient(0, 0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi))
-    expected = cmath.exp(1j * 0.75 * math.pi) / math.sqrt(2 * math.pi)
-    assert amp.incoming_coefficient(1, 0.5) == pytest.approx(expected)
-
 
 def test_flux_phase_equivalence():
     # e^{i(|n|-|n-mu|) pi} = e^{i mu sgn(n-mu) pi} for every integer n
@@ -130,6 +128,74 @@ def test_fc_sums_requires_covering_table():
         amp.fc_sums(0.3, p, other)
     with pytest.raises(ValueError):
         amp.cross_section_curve(p, np.array([0.3]), amp.EXACT, other)
+
+
+# ---------------------------------------------------------------------------
+# mode-sum contraction
+# ---------------------------------------------------------------------------
+
+def _fsum_amplitudes(phi, params, table):
+    """f1, f2 and f3 at each angle, each a math.fsum of its mode terms."""
+    p = amp.flux_phase(table.n, params.mu)
+    rows = ((table.near, p), (table.near, p * table.c_n), (~table.near, p * table.c_n))
+    out = np.empty((3, len(phi)), dtype=complex)
+    for j, x in enumerate(phi):
+        e = np.exp(1j * table.n * x)
+        for i, (m, w) in enumerate(rows):
+            t = w[m] * e[m]
+            out[i, j] = complex(math.fsum(t.real.tolist()), math.fsum(t.imag.tolist()))
+    return 1j / math.sqrt(2.0 * math.pi) * out
+
+
+@pytest.mark.parametrize("X, mu", [(30.0, 2.3), (480.0, 40.7)])
+@pytest.mark.parametrize("kappa", [0.0, math.inf])
+def test_mode_sums_match_fsum_oracle_across_block_edges(X, mu, kappa):
+    # the contraction runs in blocks of 256 angles: grids of 1, 255, 257
+    # and 2001 angles end inside, before and after a block edge
+    p = VortexParams(X=X, mu=mu, kappa=kappa)
+    tab = mode_table(p)
+    grids = [np.linspace(-3.0, 3.0, n) for n in (2001, 257, 255)] + [np.array([0.3])]
+    refs = [_fsum_amplitudes(g, p, tab) for g in grids]
+    peak = np.abs(refs[0][0]).max()  # peak |f1|, on the 2001-angle grid
+    for g, ref in zip(grids, refs):
+        got = np.array(amp._table_sums(g, p, tab))
+        assert np.abs(got - ref).max() <= 1e-13 * peak, len(g)
+
+
+def test_fc_sums_memory_is_one_block_of_angles():
+    # the phase matrix is built one block of angles at a time: on the
+    # 12.7k-angle refined grid the sums must not hold a modes x angles matrix
+    p = VortexParams(X=200.0, mu=20.3, kappa=0.0)
+    tab = mode_table(p)
+    g = amp.refined_angle_grid(0.0, 0.2)
+    tracemalloc.start()
+    try:
+        amp.fc_sums(g, p, tab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"{len(g)} angles: peak {peak / 1e6:.1f} MB"
+
+
+def test_exact_curves_identical_at_any_blas_thread_count():
+    # a BLAS product splits the mode sum across its threads, which changes
+    # the bits with OPENBLAS_NUM_THREADS; the einsum contraction must not
+    code = (
+        "import sys\n"
+        "from vortexscatter import amplitudes as amp\n"
+        "from vortexscatter.radial import VortexParams\n"
+        "for X, mu in ((100.0, 10.3), (480.0, 40.7)):\n"
+        "    c = amp.cross_section_curve(VortexParams(X=X, mu=mu), amp.default_angle_grid(2001))\n"
+        "    for a in (c.value, c.extras['f1'], c.extras['f2'], c.extras['f3']):\n"
+        "        sys.stdout.buffer.write(a.tobytes())\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(amp.__file__)))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, timeout=300).stdout)
+    assert len(outs[0]) == 2 * 2001 * (8 + 3 * 16) and outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -175,3 +175,14 @@ def test_compare_unitarity_value(tmp_path):
     assert report.unitarity_worst <= 1e-8
     assert math.isfinite(report.interference_rel_l2)
     assert report.spin_difference >= 0.0
+
+
+def test_sweep_rejects_shell_and_spin_flags(tmp_path, capsys):
+    # the closed-form fringe pattern depends on k r_c alone, so the sweep
+    # takes no shell strength or spin projection
+    for flag in (["--kappa", "1"], ["--sigma", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep", "--kr-c", "100", *flag, "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == cli.EXIT_INVALID
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
