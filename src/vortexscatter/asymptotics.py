@@ -15,7 +15,8 @@ Contents
 * The classical deflection function 2 d/dn [xi - zeta] and its extremum
   (the rainbow angle -sgn(mu) 2 arcsin(2|mu|/X)).
 * A Poisson-summation / stationary-phase evaluator for oscillatory mode
-  sums, with Airy uniformisation where stationary points coalesce.
+  sums (chi' on an array grid, chi'' and chi''' in closed form), with
+  Airy uniformisation where stationary points coalesce.
 * The penetration amplitude evaluated from the WKB phases, either by
   direct summation or through the stationary-phase engine.
 * Closed-form differential cross sections: Fraunhofer diffraction,
@@ -29,7 +30,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -40,18 +40,13 @@ from .radial import near_mode_range
 _CLAMP_TOL = 1e-12
 
 
-def _clamped_acos(t: float) -> float:
+def _clamped_acos(t):
     """arccos with the argument clamped to [-1, 1] within 1e-12; values
-    further out are a usage error, not roundoff."""
-    if t > 1.0:
-        if t > 1.0 + _CLAMP_TOL:
-            raise ValueError(f"arccos argument {t} beyond domain tolerance")
-        t = 1.0
-    elif t < -1.0:
-        if t < -1.0 - _CLAMP_TOL:
-            raise ValueError(f"arccos argument {t} beyond domain tolerance")
-        t = -1.0
-    return math.acos(t)
+    further out are a usage error, not roundoff.  Accepts arrays."""
+    t = np.asarray(t, dtype=float)
+    if (np.abs(t) > 1.0 + _CLAMP_TOL).any():
+        raise ValueError(f"arccos argument {np.abs(t).max()} beyond domain tolerance")
+    return np.arccos(t.clip(-1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -62,46 +57,58 @@ class ForbiddenModeError(ValueError):
     """The mode has no classical region reaching the vortex edge."""
 
 
-def xi_phase(n: float, mu: float, X: float) -> float:
+def _check_order(n, mu: float, X: float) -> np.ndarray:
+    """nu = |n - mu|, clamped to X within the domain tolerance."""
+    nu = np.abs(np.asarray(n, dtype=float) - mu)
+    if (nu > X * (1.0 + _CLAMP_TOL)).any():
+        raise ValueError(f"mode order nu={nu.max()} exceeds the radius X={X}")
+    return np.minimum(nu, X)
+
+
+def xi_phase(n, mu: float, X: float):
     """Outside WKB phase at the edge,
-    xi = sqrt(X^2 - nu^2) - nu arccos(nu/X), nu = |n - mu|.
+    xi = sqrt(X^2 - nu^2) - nu arccos(nu/X), nu = |n - mu|; accepts arrays.
 
     Raises
     ------
     ValueError
         If nu > X (turning point outside the vortex).
     """
-    nu = abs(n - mu)
-    if nu > X * (1.0 + _CLAMP_TOL):
-        raise ValueError(f"mode order nu={nu} exceeds the radius X={X}")
-    nu = min(nu, X)
-    return math.sqrt(max(X * X - nu * nu, 0.0)) - nu * _clamped_acos(nu / X)
+    nu = _check_order(n, mu, X)
+    return np.sqrt(np.maximum(X * X - nu * nu, 0.0)) - nu * _clamped_acos(nu / X)
 
 
-def xi_phase_dn(n: float, mu: float, X: float) -> float:
-    """Analytic d(xi)/dn = -sgn(n - mu) arccos(nu/X)."""
-    nu = abs(n - mu)
-    if nu > X * (1.0 + _CLAMP_TOL):
-        raise ValueError(f"mode order nu={nu} exceeds the radius X={X}")
-    sgn = 1.0 if n >= mu else -1.0
-    return -sgn * _clamped_acos(min(nu / X, 1.0))
+def xi_phase_dn(n, mu: float, X: float):
+    """Analytic d(xi)/dn = -sgn(n - mu) arccos(nu/X); accepts arrays."""
+    nu = _check_order(n, mu, X)
+    return -np.where(np.asarray(n) >= mu, 1.0, -1.0) * _clamped_acos(nu / X)
 
 
-def _uniform_acos_args(n: float, mu: float, X: float) -> tuple[float, float, float]:
-    """The square root and the two arccos arguments of the closed inside
-    phase; raises ForbiddenModeError when the mode cannot reach the edge."""
-    R = X * X + 4.0 * mu * n
-    if R < 0.0:
-        raise ForbiddenModeError(f"mode n={n} classically forbidden at the edge (mu={mu}, X={X})")
-    s = math.sqrt(R)
-    if s == 0.0:
-        raise ForbiddenModeError(f"mode n={n} grazes the edge (degenerate root)")
-    try:
-        a1 = _clamped_acos((X * X + 2.0 * mu * (n - mu)) / (X * s))
-        a2 = _clamped_acos((-X * X + 2.0 * (n - mu) * n) / (X * s))
-    except ValueError as exc:
-        raise ForbiddenModeError(f"mode n={n}: {exc}") from exc
-    return s, a1, a2
+def _require_allowed(n, ok, mu: float, X: float) -> None:
+    if not ok.all():
+        bad = np.asarray(n, dtype=float)[~np.asarray(ok)][0]
+        raise ForbiddenModeError(f"mode n={bad}: no classical path to the edge (mu={mu}, X={X})")
+
+
+def _zeta_edge(n, mu: float, X: float):
+    """Closed inside phase of the uniform profile at the edge, its
+    n-derivative (1/2) sgn(mu) arccos(t1) - (1/2) sgn(n) arccos(t2), and the
+    mask of the modes that reach the edge (elsewhere both values are
+    placeholders); accepts arrays."""
+    n = np.asarray(n, dtype=float)
+    nu = n - mu
+    s = np.sqrt(np.maximum(X * X + 4.0 * mu * n, 0.0))
+    xs = X * np.where(s > 0.0, s, 1.0)
+    t1 = (X * X + 2.0 * mu * nu) / xs
+    t2 = (-X * X + 2.0 * nu * n) / xs
+    ok = ((s > 0.0) & (np.abs(nu) <= X * (1.0 + _CLAMP_TOL))
+          & (np.abs(t1) <= 1.0 + _CLAMP_TOL) & (np.abs(t2) <= 1.0 + _CLAMP_TOL))
+    a1, a2 = _clamped_acos(np.where(ok, t1, 1.0)), _clamped_acos(np.where(ok, t2, 1.0))
+    zeta = (0.5 * np.sqrt(np.maximum(X * X - nu * nu, 0.0))
+            + (X * X + 2.0 * mu * n) / (4.0 * abs(mu)) * a1
+            - 0.5 * np.abs(n) * a2)
+    sm = 1.0 if mu >= 0.0 else -1.0
+    return zeta, 0.5 * sm * a1 - 0.5 * np.where(n >= 0.0, 1.0, -1.0) * a2, ok
 
 
 def turning_point(n: float, mu: float, X: float) -> float:
@@ -149,23 +156,16 @@ def zeta_phase(n: float, mu: float, X: float) -> WKBPhase:
     """
     if mu == 0.0:
         raise ValueError("zeta_phase needs mu != 0; use xi_phase for the free field")
-    nu = n - mu
-    if abs(nu) > X * (1.0 + _CLAMP_TOL):
-        raise ForbiddenModeError(f"mode order |n-mu|={abs(nu)} exceeds the radius X={X}")
-    _, a1, a2 = _uniform_acos_args(n, mu, X)
-    zeta = (0.5 * math.sqrt(max(X * X - nu * nu, 0.0))
-            + (X * X + 2.0 * mu * n) / (4.0 * abs(mu)) * a1
-            - 0.5 * abs(n) * a2)
-    return WKBPhase(xi=xi_phase(n, mu, X), zeta=zeta, y0=turning_point(n, mu, X))
+    zeta, _, ok = _zeta_edge(n, mu, X)
+    _require_allowed(n, ok, mu, X)
+    return WKBPhase(xi=float(xi_phase(n, mu, X)), zeta=float(zeta), y0=turning_point(n, mu, X))
 
 
-def zeta_phase_dn(n: float, mu: float, X: float) -> float:
-    """Analytic d(zeta)/dn for the uniform profile,
-    (1/2) sgn(mu) arccos(arg1) - (1/2) sgn(n) arccos(arg2)."""
-    _, a1, a2 = _uniform_acos_args(n, mu, X)
-    sn = 1.0 if n >= 0.0 else -1.0
-    sm = 1.0 if mu >= 0.0 else -1.0
-    return 0.5 * sm * a1 - 0.5 * sn * a2
+def zeta_phase_dn(n, mu: float, X: float):
+    """Analytic d(zeta)/dn for the uniform profile; accepts arrays."""
+    _, dzeta, ok = _zeta_edge(n, mu, X)
+    _require_allowed(n, ok, mu, X)
+    return dzeta
 
 
 def deflection(n: float, mu: float, X: float) -> float:
@@ -176,9 +176,7 @@ def deflection(n: float, mu: float, X: float) -> float:
     is monotone over the allowed window.
     """
     if mu == 0.0:
-        nu = abs(n - mu)
-        if nu > X * (1.0 + _CLAMP_TOL):
-            raise ForbiddenModeError(f"mode order nu={nu} exceeds the radius X={X}")
+        _check_order(n, mu, X)  # same domain error as xi_phase_dn for mu != 0
         return 0.0
     return 2.0 * (xi_phase_dn(n, mu, X) - zeta_phase_dn(n, mu, X))
 
@@ -224,44 +222,25 @@ class StationaryPhaseReport:
 
 
 _COT_CLAMP = 10.0
-
-
-def _bisect(f: Callable[[float], float], a: float, b: float, tol: float = 1e-12) -> float:
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise RuntimeError("bisection bracket does not straddle a root")
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0 or (b - a) < tol:
-            return m
-        if fa * fm < 0.0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+_SAMPLES = 2048  # grid on which chi' is sampled to bracket the stationary points
 
 
 def poisson_stationary_sum(chi: Callable[[float], float],
-                           dchi: Callable[[float], float],
+                           dchi: Callable[[np.ndarray], np.ndarray],
                            window: tuple[float, float],
-                           d2chi: Callable[[float], float] | None = None,
-                           d3chi: Callable[[float], float] | None = None,
-                           samples: int = 2048) -> StationaryPhaseReport:
+                           d2chi: Callable[[float], float],
+                           d3chi: Callable[[float], float]) -> StationaryPhaseReport:
     """Evaluate sum over integers n in [window] of e^{i chi(n)} by Poisson
     summation and stationary phase.
 
-    For each integer l reachable by chi'/(2 pi) on the window, the
-    stationary points chi'(n) = 2 pi l are located by bisection on the
-    monotone pieces of chi' and weighted with
-    sqrt(2 pi / |chi''|) e^{-+ i pi/4} (sign from the convexity).  Where
-    two stationary points of the same l approach within
-    2 (2/|chi'''|)^(1/3) of an inflection, the pair is replaced by the
-    uniform Airy contribution
+    chi' is evaluated once, as an array, on a grid of the window.  For each
+    integer l reachable by chi'/(2 pi), the stationary points
+    chi'(n) = 2 pi l are the exact zeros of chi' - 2 pi l on the grid plus
+    one brentq root per sign change between neighbouring grid points; each is
+    weighted with sqrt(2 pi / |chi''|) e^{-+ i pi/4} (sign from the
+    convexity).  Where two stationary points of the same l approach within
+    2 (2/|chi'''|)^(1/3) of an inflection (a brentq root of chi''), the
+    pair is replaced by the uniform Airy contribution
     2 pi (2/|a3|)^(1/3) Ai(sgn(a3) a1 (2/|a3|)^(1/3)) e^{i(chi - 2 pi n l)}
     evaluated at the inflection (a1 = chi' - 2 pi l there).  The two
     half-weight endpoint terms of the Poisson formula are added together
@@ -273,65 +252,46 @@ def poisson_stationary_sum(chi: Callable[[float], float],
 
     Parameters
     ----------
-    chi, dchi : callables
-        Phase and its first derivative, smooth on the window.
+    chi : callable
+        Phase, smooth on the window.
+    dchi : callable
+        First derivative.  It is called once on the whole sample grid (an
+        array; a constant return value is broadcast) and on scalars while
+        the roots are refined.
     window : (float, float)
         Integer-inclusive summation window (-s_minus, s_plus).
-    d2chi, d3chi : callables, optional
-        Higher derivatives; central differences of dchi by default.
-    samples : int
-        Grid resolution for locating monotone pieces of chi'.
+    d2chi, d3chi : callables
+        Second and third derivatives, called on scalars; pass closed
+        forms, as they set the point weights and the Airy scale.
 
     Raises
     ------
     ValueError
         On non-finite phase data.
     RuntimeError
-        If root bracketing fails to resolve.
+        On a degenerate stationary point outside an Airy pair.
     """
+    # deferred: importing scipy.optimize adds about 0.25 s to the package import
+    from scipy.optimize import brentq
+
     a, b = float(window[0]), float(window[1])
     if not (b > a):
         raise ValueError("empty stationary-phase window")
-    h_fd = max(1e-5, (b - a) * 1e-7)
-    if d2chi is None:
-        d2chi = lambda n: (dchi(n + h_fd) - dchi(n - h_fd)) / (2.0 * h_fd)
-    if d3chi is None:
-        d3chi = lambda n: (dchi(n + h_fd) - 2.0 * dchi(n) + dchi(n - h_fd)) / (h_fd * h_fd)
-
-    grid = np.linspace(a, b, samples)
-    dvals = np.array([dchi(float(g)) for g in grid])
+    grid = np.linspace(a, b, _SAMPLES)
+    dvals = np.broadcast_to(dchi(grid), grid.shape)
     if not np.all(np.isfinite(dvals)):
         raise ValueError("phase derivative is not finite on the window")
-
-    # monotone pieces of chi': split at sign changes of its slope
-    slopes = np.diff(dvals)
-    breakpoints = [a]
-    for i in range(1, len(slopes)):
-        if slopes[i - 1] == 0.0 or (slopes[i - 1] > 0.0) != (slopes[i] > 0.0):
-            breakpoints.append(float(grid[i]))
-    breakpoints.append(b)
 
     report = StationaryPhaseReport()
     l_lo = math.floor(dvals.min() / (2.0 * math.pi)) - 1
     l_hi = math.ceil(dvals.max() / (2.0 * math.pi)) + 1
-
-    # locate all stationary points per l
-    roots: dict[int, list[float]] = {}
     for l in range(l_lo, l_hi + 1):
         target = 2.0 * math.pi * l
-        found: list[float] = []
-        for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-            flo, fhi = dchi(lo) - target, dchi(hi) - target
-            if flo == 0.0 and lo not in found:
-                found.append(lo)
-                continue
-            if flo * fhi < 0.0:
-                found.append(_bisect(lambda n: dchi(n) - target, lo, hi))
-        interior = [r for r in found if a + 1e-9 < r < b - 1e-9]
-        if interior:
-            roots[l] = sorted(interior)
-
-    for l, pts in sorted(roots.items()):
+        g = dvals - target
+        found = grid[g == 0.0].tolist() + [
+            brentq(lambda n: dchi(n) - target, grid[i], grid[i + 1], xtol=1e-12)
+            for i in np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0.0)[0]]
+        pts = sorted(r for r in found if a + 1e-9 < r < b - 1e-9)
         consumed = [False] * len(pts)
         # pair neighbouring points across an inflection when too close
         for i in range(len(pts) - 1):
@@ -341,14 +301,14 @@ def poisson_stationary_sum(chi: Callable[[float], float],
             c1, c2 = d2chi(n1), d2chi(n2)
             if c1 == 0.0 or c2 == 0.0 or (c1 > 0.0) == (c2 > 0.0):
                 continue
-            n_inf = _bisect(d2chi, n1, n2)
+            n_inf = brentq(d2chi, n1, n2, xtol=1e-12)
             a3 = d3chi(n_inf)
             if a3 == 0.0 or not math.isfinite(a3):
                 continue
             scale = (2.0 / abs(a3)) ** (1.0 / 3.0)
             if (n2 - n1) < 2.0 * scale:
-                a1c = dchi(n_inf) - 2.0 * math.pi * l
-                phase = chi(n_inf) - 2.0 * math.pi * n_inf * l
+                a1c = dchi(n_inf) - target
+                phase = chi(n_inf) - target * n_inf
                 airy_arg = math.copysign(1.0, a3) * a1c * scale
                 contrib = (cmath.exp(1j * phase) * 2.0 * math.pi * scale
                            * specfun.airy_ai(airy_arg))
@@ -363,7 +323,7 @@ def poisson_stationary_sum(chi: Callable[[float], float],
             if curv == 0.0 or not math.isfinite(curv):
                 raise RuntimeError(f"degenerate stationary point at n={n_j}")
             convexity = "up" if curv < 0.0 else "down"
-            phase = chi(n_j) - 2.0 * math.pi * n_j * l
+            phase = chi(n_j) - target * n_j
             weight = math.sqrt(2.0 * math.pi / abs(curv))
             corner = cmath.exp(-1j * math.pi / 4.0) if curv < 0.0 else cmath.exp(1j * math.pi / 4.0)
             contrib = cmath.exp(1j * phase) * weight * corner
@@ -371,8 +331,8 @@ def poisson_stationary_sum(chi: Callable[[float], float],
                 n=n_j, l=l, convexity=convexity, contribution=contrib))
 
     def _endpoint(n_end: float, outward: float) -> complex:
-        cot = math.cos(dchi(n_end) / 2.0) / math.sin(dchi(n_end) / 2.0) \
-            if math.sin(dchi(n_end) / 2.0) != 0.0 else math.inf
+        half = dchi(n_end) / 2.0
+        cot = math.cos(half) / math.sin(half) if math.sin(half) != 0.0 else math.inf
         cot = max(-_COT_CLAMP, min(_COT_CLAMP, cot))
         return cmath.exp(1j * chi(n_end)) * (0.5 + outward * cot / 2j)
 
@@ -388,37 +348,45 @@ def poisson_stationary_sum(chi: Callable[[float], float],
 # ---------------------------------------------------------------------------
 
 def _penetration_phase(phi: float, mu: float, X: float):
-    """chi(n) = n phi + (|n| - |n-mu|) pi + 2 [zeta_n - xi_n] and its
-    analytic n-derivative.  The continuous (|n| - |n-mu|) pi representation
-    of the flux phase splices smoothly into the WKB actions: the corner
-    slopes at n = 0 and n = mu cancel exactly."""
+    """chi(n) = n phi + (|n| - |n-mu|) pi + 2 [zeta_n - xi_n] and its first
+    three n-derivatives in closed form (dchi accepts arrays).  The
+    continuous (|n| - |n-mu|) pi representation of the flux phase splices
+    smoothly into the WKB actions: the corner slopes at n = 0 and n = mu
+    cancel exactly.  With R = X^2 + 4 mu n and W = sqrt(X^2 - (n-mu)^2),
+
+        chi''  = -4 mu (n + mu) / (R W),
+        chi''' = -4 mu / (R W) [1 - (n + mu) (4 mu/R - (n - mu)/W^2)],
+
+    so chi'' vanishes at the rainbow mode n = -mu, where
+    chi''' = -4 mu / (X^2 - 4 mu^2)^(3/2)."""
 
     def chi(n: float) -> float:
         return (n * phi + (abs(n) - abs(n - mu)) * math.pi
                 + 2.0 * (zeta_phase(n, mu, X).zeta - xi_phase(n, mu, X)))
 
-    def dchi(n: float) -> float:
-        sgn_n = 1.0 if n >= 0.0 else -1.0
-        sgn_nm = 1.0 if n >= mu else -1.0
-        return (phi + (sgn_n - sgn_nm) * math.pi
-                + 2.0 * (zeta_phase_dn(n, mu, X) - xi_phase_dn(n, mu, X)))
+    def dchi(n):
+        n = np.asarray(n, dtype=float)
+        corners = np.where(n >= 0.0, math.pi, -math.pi) - np.where(n >= mu, math.pi, -math.pi)
+        return phi + corners + 2.0 * (zeta_phase_dn(n, mu, X) - xi_phase_dn(n, mu, X))
 
-    return chi, dchi
+    def d2chi(n: float) -> float:
+        return -4.0 * mu * (n + mu) / ((X * X + 4.0 * mu * n) * math.sqrt(X * X - (n - mu) ** 2))
+
+    def d3chi(n: float) -> float:
+        R, W2 = X * X + 4.0 * mu * n, X * X - (n - mu) ** 2
+        return -4.0 * mu / (R * math.sqrt(W2)) * (1.0 - (n + mu) * (4.0 * mu / R - (n - mu) / W2))
+
+    return chi, dchi, d2chi, d3chi
 
 
-@lru_cache(maxsize=64)
-def _direct_phase_terms(mu: float, X: float, lo: int, hi: int) -> tuple:
-    """Angle-independent phase terms (n, mu sgn(n-mu) pi, 2 (zeta_n - xi_n))
-    of the classically allowed modes in [lo, hi], in index order."""
-    out = []
-    for n in range(lo, hi + 1):
-        try:
-            ph = zeta_phase(n, mu, X)
-        except ForbiddenModeError:
-            continue
-        sgn = 1.0 if n >= mu else -1.0
-        out.append((n, mu * sgn * math.pi, 2.0 * (ph.zeta - ph.xi)))
-    return tuple(out)
+def _direct_phase_terms(mu: float, X: float, lo: int, hi: int) -> tuple[list, list, list]:
+    """Angle-independent phase terms n, mu sgn(n-mu) pi and 2 (zeta_n - xi_n)
+    of the classically allowed modes in [lo, hi], as lists in index order."""
+    n = np.arange(lo, hi + 1, dtype=float)
+    zeta, _, ok = _zeta_edge(n, mu, X)
+    n, zeta = n[ok], zeta[ok]
+    flux = mu * np.where(n >= mu, 1.0, -1.0) * math.pi
+    return n.tolist(), flux.tolist(), (2.0 * (zeta - xi_phase(n, mu, X))).tolist()
 
 
 def f2_asymptotic(phi: float, mu: float, X: float, mode: str = "direct") -> complex:
@@ -443,7 +411,7 @@ def f2_asymptotic(phi: float, mu: float, X: float, mode: str = "direct") -> comp
     if mode == "direct":
         total = 0.0 + 0.0j
         comp = 0.0 + 0.0j
-        for n, flux, wkb in _direct_phase_terms(mu, X, lo, hi):
+        for n, flux, wkb in zip(*_direct_phase_terms(mu, X, lo, hi)):
             arg = n * phi + flux + wkb
             term = cmath.exp(1j * arg)
             t = total + term
@@ -455,11 +423,11 @@ def f2_asymptotic(phi: float, mu: float, X: float, mode: str = "direct") -> comp
         return -1j / math.sqrt(2.0 * math.pi) * (total + comp)
 
     if mode == "stationary":
-        chi, dchi = _penetration_phase(phi, mu, X)
+        chi, dchi, d2chi, d3chi = _penetration_phase(phi, mu, X)
         # stay clear of the window edges where zeta loses its classical
         # region; the edge modes do not contribute to penetration
         pad = 1e-6 * X
-        report = poisson_stationary_sum(chi, dchi, (lo + pad, hi - pad))
+        report = poisson_stationary_sum(chi, dchi, (lo + pad, hi - pad), d2chi, d3chi)
         return -1j / math.sqrt(2.0 * math.pi) * report.total
 
     raise ValueError(f"unknown mode {mode!r}; expected 'direct' or 'stationary'")
@@ -576,7 +544,7 @@ def penetration_cs(phi: float, mu: float, X: float) -> tuple[float, str]:
     if root2 <= 0.0:
         # grazes the caustic outside the declared rainbow window
         return 0.0, OUTSIDE
-    osc = math.sin(4.0 * abs(mu) * _clamped_acos(min(abs(r) * sh, 1.0))
+    osc = math.sin(4.0 * abs(mu) * math.acos(min(abs(r) * sh, 1.0))
                    - 2.0 * X * sh * math.sqrt(root2))
     val = sh / math.sqrt(root2) * (1.0 + r * r * math.cos(phi) + (r * r - 1.0) * osc)
     return val, WEAK

@@ -289,6 +289,9 @@ def _parse_kappa(text: str) -> float:
     return float(text)
 
 
+_UNITS = ("k", "rc")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="vortex-scatter",
@@ -313,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--steps", type=int, default=None)
     c.add_argument("--method", action="append", default=None,
                    help=f"one of {amp.METHOD_TAGS}; repeatable")
-    c.add_argument("--units", choices=("k", "rc"), default=None,
+    c.add_argument("--units", choices=_UNITS, default=None,
                    help="report k d(sigma)/(dz dphi) ('k') or divide by k r_c ('rc')")
 
     s = sub.add_parser("sweep", help="flux sweep of diffraction-fringe peaks")
@@ -363,6 +366,8 @@ def _scenario_from_args(args, need_methods=True) -> Scenario:
     methods = tuple(canon.get(m.lower(), m) for m in methods)
     out = pick(getattr(args, "out", None), "out", str, "curves.csv")
     units = pick(getattr(args, "units", None), "units", str, "k")
+    if units not in _UNITS:
+        raise ValueError(f"units must be one of {_UNITS}, got {units!r}")
     return Scenario(params=params, grid=(phi_min, phi_max, steps),
                     methods=methods, output_path=out, rescale_rc=(units == "rc"))
 

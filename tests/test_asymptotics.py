@@ -2,13 +2,15 @@
 closed-form cross sections, checked against quadrature and brute force."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
+from vortexscatter import asymptotics as asy
 from vortexscatter import specfun
 from vortexscatter.asymptotics import (
     ForbiddenModeError,
@@ -26,6 +28,7 @@ from vortexscatter.asymptotics import (
     xi_phase,
     zeta_phase,
 )
+from vortexscatter.radial import near_mode_range
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +233,144 @@ def test_engine_separated_cubic_uses_standard_branch():
 
 
 def test_engine_rejects_bad_input():
+    zero = lambda n: 0.0
     with pytest.raises(ValueError):
-        poisson_stationary_sum(lambda n: n, lambda n: math.nan, (-10, 10))
+        poisson_stationary_sum(lambda n: n, lambda n: math.nan, (-10, 10), zero, zero)
     with pytest.raises(ValueError):
-        poisson_stationary_sum(lambda n: n, lambda n: 1.0, (10, 10))
+        poisson_stationary_sum(lambda n: n, lambda n: 1.0, (10, 10), zero, zero)
 
 
 def test_engine_report_total_is_sum_of_parts():
     a = 0.01
     rep = poisson_stationary_sum(lambda n: -a * n * n, lambda n: -2 * a * n,
-                                 (-100, 100))
+                                 (-100, 100), lambda n: -2 * a, lambda n: 0.0)
     parts = (sum(p.contribution for p in rep.points)
              + sum(c.contribution for c in rep.coalescences) + rep.endpoints)
     assert rep.total == parts
+
+
+def oracle_roots(dchi, target, window):
+    """Interior roots of chi' - target bracketed on a grid 16 times finer
+    than the engine's and refined by brentq."""
+    a, b = window
+    grid = np.linspace(a, b, 16 * 2048)
+    g = np.broadcast_to(dchi(grid), grid.shape) - target
+    cross = np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0.0)[0]
+    roots = [brentq(lambda n: dchi(n) - target, grid[i], grid[i + 1], xtol=1e-13)
+             for i in cross]
+    return [r for r in roots if a + 1e-9 < r < b - 1e-9]
+
+
+def penetration_window(mu, X):
+    """The window f2_asymptotic hands to the engine."""
+    lo, hi = near_mode_range(mu, X)
+    return lo + 1e-6 * X, hi - 1e-6 * X
+
+
+@pytest.mark.parametrize("case", ["quadratic", "separated cubic", "penetration"])
+def test_engine_finds_every_stationary_point(case):
+    if case == "quadratic":
+        a = 0.01
+        phase = (lambda n: -a * n * n, lambda n: -2 * a * n, lambda n: -2 * a, lambda n: 0.0)
+        window = (-100.0, 100.0)
+    elif case == "separated cubic":
+        beta, alpha = 2e-4, -0.9
+        phase = (lambda n: beta * n ** 3 / 3 + alpha * n, lambda n: beta * n * n + alpha,
+                 lambda n: 2 * beta * n, lambda n: 2 * beta)
+        window = (-100.0, 100.0)
+    else:
+        mu, X = 10.0, 100.0
+        phase = asy._penetration_phase(-0.3, mu, X)
+        window = penetration_window(mu, X)
+    rep = poisson_stationary_sum(phase[0], phase[1], window, phase[2], phase[3])
+    dvals = phase[1](np.linspace(*window, 16 * 2048))
+    found = 0
+    for l in range(math.floor(dvals.min() / (2 * math.pi)) - 1,
+                   math.ceil(dvals.max() / (2 * math.pi)) + 2):
+        roots = oracle_roots(phase[1], 2 * math.pi * l, window)
+        points = [p.n for p in rep.points if p.l == l]
+        pairs = [c for c in rep.coalescences if c.l == l]
+        for n in points:
+            assert min(abs(n - r) for r in roots) <= 1e-9
+        assert len(roots) == len(points) + 2 * len(pairs)
+        found += len(roots)
+    assert found >= 1
+
+
+ENGINE = asy.poisson_stationary_sum
+
+
+def f2_engine_report(monkeypatch, phi, mu, X):
+    """The engine's report inside f2_asymptotic("stationary")."""
+    reports = []
+
+    def spy(*args):
+        reports.append(ENGINE(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(asy, "poisson_stationary_sum", spy)
+    f2_asymptotic(phi, mu, X, "stationary")
+    monkeypatch.setattr(asy, "poisson_stationary_sum", ENGINE)
+    return reports[0]
+
+
+@pytest.mark.parametrize("X, mu, phi", [(100.0, -3.596, 0.135), (30.0, -2.634, 0.331),
+                                        (100.0, 10.0, -0.4)])
+def test_f2_airy_coefficient_is_closed_form(monkeypatch, X, mu, phi):
+    # at the rainbow mode n = -mu, chi''' = -4 mu / (X^2 - 4 mu^2)^(3/2)
+    rep = f2_engine_report(monkeypatch, phi, mu, X)
+    assert rep.coalescences
+    expected = -4.0 * mu / (X * X - 4.0 * mu * mu) ** 1.5
+    for c in rep.coalescences:
+        assert c.n_inflection == pytest.approx(-mu, abs=1e-9)
+        assert c.alpha3 == pytest.approx(expected, rel=1e-12)
+
+
+def test_f2_stationary_does_not_depend_on_roundoff(monkeypatch):
+    # one ulp on every other chi' value must not move the result
+    X, mu = 100.0, -3.596
+    phis = (0.093, 0.11, 0.135, 0.14)
+    clean = [f2_asymptotic(phi, mu, X, "stationary") for phi in phis]
+    exact_phase = asy._penetration_phase
+
+    def nudged_phase(phi, mu, X):
+        chi, dchi, d2chi, d3chi = exact_phase(phi, mu, X)
+        calls = itertools.count()
+
+        def dchi_ulp(n):
+            v = np.array(dchi(n), dtype=float)
+            if v.ndim:
+                v[::2] = np.nextafter(v[::2], np.inf)
+            elif next(calls) % 2 == 0:
+                v = np.nextafter(v, np.inf)
+            return v
+
+        return chi, dchi_ulp, d2chi, d3chi
+
+    monkeypatch.setattr(asy, "_penetration_phase", nudged_phase)
+    for phi, ref in zip(phis, clean):
+        assert abs(f2_asymptotic(phi, mu, X, "stationary") - ref) <= 1e-12 * abs(ref)
+    # and at the inner angle the closed forms stay near the direct sum
+    direct = f2_asymptotic(phis[0], mu, X, "direct")
+    assert abs(clean[0] - direct) <= 0.05 * abs(direct)
+
+
+@pytest.mark.parametrize("X, mu", [(100.0, 10.0), (100.0, -3.596), (40.0, 30.0), (40.0, -30.0)])
+def test_penetration_phase_derivatives_match_differences(X, mu):
+    # weak (2|mu| < X) and strong field, both signs of mu, away from the
+    # representation corners n = 0 and n = mu and from the zero of chi''
+    # at n = -mu
+    _, dchi, d2chi, d3chi = asy._penetration_phase(0.2, mu, X)
+    h = 1e-4 * X
+    checked = 0
+    for n in np.linspace(mu - 0.8 * X, mu + 0.8 * X, 17):
+        n = float(n)
+        if min(abs(n), abs(n - mu), abs(n + mu)) < 0.05 * X or X * X + 4 * mu * n < 0.1 * X * X:
+            continue
+        assert d2chi(n) == pytest.approx((dchi(n + h) - dchi(n - h)) / (2 * h), rel=1e-6)
+        assert d3chi(n) == pytest.approx((d2chi(n + h) - d2chi(n - h)) / (2 * h), rel=1e-6)
+        checked += 1
+    assert checked >= 8
 
 
 # ---------------------------------------------------------------------------

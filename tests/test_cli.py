@@ -78,6 +78,16 @@ def test_scenario_file_and_flag_override(tmp_path):
     assert len((tmp_path / "s2.csv").read_text().strip().split("\n")) == 6
 
 
+def test_scenario_file_units_are_validated(tmp_path, capsys):
+    # the file value gets the same check as the --units flag
+    scen = tmp_path / "scenario.txt"
+    scen.write_text(f"kr_c = 30\nmu = 0.3\nunits = RC\nmethods = Fraunhofer\n"
+                    f"steps = 5\nout = {tmp_path / 'u.csv'}\n")
+    assert run(["curve", "--scenario", str(scen)]) == cli.EXIT_INVALID
+    assert "units" in capsys.readouterr().err
+    assert not (tmp_path / "u.csv").exists()
+
+
 def test_kappa_inf_spelling(tmp_path):
     out = tmp_path / "inf.csv"
     code = run(["curve", "--kr-c", "20", "--mu", "0.4", "--kappa", "inf",
