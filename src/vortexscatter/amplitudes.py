@@ -240,21 +240,16 @@ def cross_section_curve(params: VortexParams, grid: np.ndarray | None = None,
             "interference": interference,
         }
     elif method == FRAUNHOFER:
-        value = np.array([asymptotics.fraunhofer_cs(p, mu, X) for p in grid])
+        value = asymptotics.fraunhofer_cs(grid, mu, X)
     elif method == PENETRATION:
-        vals, branches = [], []
-        for p in grid:
-            v, b = asymptotics.penetration_cs(p, mu, X)
-            vals.append(v * X)  # r_c units -> 1/k units
-            branches.append(b)
-        value = np.array(vals)
-        extras = {"branch": branches}
+        value, branches = asymptotics.penetration_cs(grid, mu, X)
+        value = value * X  # r_c units -> 1/k units
+        extras = {"branch": branches.tolist()}
     elif method == RAINBOW:
-        value = np.array([asymptotics.rainbow_cs(p, mu, X) * X for p in grid])
+        value = asymptotics.rainbow_cs(grid, mu, X) * X
     elif method == CLASSICAL:
-        rb = params.orbit_radius_ratio
         sign = +1 if mu >= 0.0 else -1
-        value = np.array([asymptotics.classical_cs(p, rb, sign) * X for p in grid])
+        value = asymptotics.classical_cs(grid, params.orbit_radius_ratio, sign) * X
     elif method == AB:
         value = np.abs(np.asarray(ab_amplitude(grid, mu))) ** 2
     else:

@@ -21,8 +21,10 @@ Contents
   direct summation or through the stationary-phase engine.
 * Closed-form differential cross sections: Fraunhofer diffraction,
   strong- and weak-field penetration, the Airy-regularised rainbow, and
-  the classical (trajectory-counting) results.  Penetration and classical
-  values are in units of r_c; multiply by X for the 1/k convention.
+  the classical (trajectory-counting) results.  Each takes a scalar angle
+  (and returns a float) or an array of angles (and returns an array, one
+  vectorised pass).  Penetration and classical values are in units of
+  r_c; multiply by X for the 1/k convention.
 """
 
 from __future__ import annotations
@@ -437,32 +439,50 @@ def f2_asymptotic(phi: float, mu: float, X: float, mode: str = "direct") -> comp
 # closed-form cross sections (units of r_c)
 # ---------------------------------------------------------------------------
 
-def fraunhofer_cs(phi: float, mu: float, X: float) -> float:
+def _angles(phi) -> np.ndarray:
+    """phi as a float array of at least one dimension, checked to lie in
+    (-pi, pi); a scalar then takes the same array kernels as a grid (numpy
+    scalars take other paths for powers), so both give the same bits."""
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    if not ((-math.pi < phi) & (phi < math.pi)).all():
+        raise ValueError("phi must lie in (-pi, pi)")
+    return phi
+
+
+def _like(phi, value):
+    """value as a Python scalar for a scalar phi, else unchanged."""
+    return value if np.ndim(phi) else value.item()
+
+
+def _envelope(phi: np.ndarray, X: float) -> np.ndarray:
+    """sin^2(X phi/2)/sin^2(phi/2), with its forward limit X^2."""
+    s_half = np.sin(phi / 2.0)
+    return np.divide(np.sin(X * phi / 2.0), s_half, out=np.full_like(phi, X),
+                     where=s_half != 0.0) ** 2
+
+
+def fraunhofer_cs(phi, mu: float, X: float):
     """Edge-diffraction cross section in 1/k units,
     k d(sigma1)/(dz dphi) = (2/pi) sin^2(X phi/2)/sin^2(phi/2)
                             * cos^2(mu pi + X phi/2),
     with the analytic forward limit (2/pi) X^2 cos^2(mu pi)."""
-    if not (-math.pi < phi < math.pi):
-        raise ValueError("phi must lie in (-pi, pi)")
-    if phi == 0.0:
-        return 2.0 / math.pi * X * X * math.cos(mu * math.pi) ** 2
-    env = (math.sin(X * phi / 2.0) / math.sin(phi / 2.0)) ** 2
-    return 2.0 / math.pi * env * math.cos(mu * math.pi + X * phi / 2.0) ** 2
+    p = _angles(phi)
+    return _like(phi, 2.0 / math.pi * _envelope(p, X) * np.cos(mu * math.pi + X * p / 2.0) ** 2)
 
 
-def fraunhofer_cs_dphi(phi: float, mu: float, X: float) -> float:
-    """Analytic d/dphi of :func:`fraunhofer_cs` (for fringe peak finding)."""
-    if phi == 0.0:
-        return (2.0 / math.pi) * X * X * (-X) * math.sin(2.0 * (mu * math.pi))
-    s_half = math.sin(phi / 2.0)
-    sX = math.sin(X * phi / 2.0)
-    cX = math.cos(X * phi / 2.0)
-    cosf = math.cos(mu * math.pi + X * phi / 2.0)
-    sinf = math.sin(mu * math.pi + X * phi / 2.0)
-    env = (sX / s_half) ** 2
-    denv = (X * sX * cX / s_half ** 2
-            - sX * sX * math.cos(phi / 2.0) / s_half ** 3)
-    return 2.0 / math.pi * (denv * cosf ** 2 - env * X * cosf * sinf)
+def fraunhofer_cs_dphi(phi, mu: float, X: float):
+    """Analytic d/dphi of :func:`fraunhofer_cs` (for fringe peak finding); the
+    envelope is even, so the forward limit is -(X^3/pi) sin(2 mu pi).  No
+    range check: the fringe lobe |phi| <= 2 pi/X passes pi for X < 2."""
+    p = np.atleast_1d(np.asarray(phi, dtype=float))
+    s_half = np.sin(p / 2.0)
+    sh = np.where(s_half != 0.0, s_half, 1.0)
+    sX = np.sin(X * p / 2.0)
+    cX = np.cos(X * p / 2.0)
+    cosf = np.cos(mu * math.pi + X * p / 2.0)
+    sinf = np.sin(mu * math.pi + X * p / 2.0)
+    denv = np.where(s_half != 0.0, X * sX * cX / sh ** 2 - sX * sX * np.cos(p / 2.0) / sh ** 3, 0.0)
+    return _like(phi, 2.0 / math.pi * (denv * cosf ** 2 - _envelope(p, X) * X * cosf * sinf))
 
 
 STRONG = "Strong"
@@ -480,7 +500,7 @@ def rainbow_window_halfwidth(mu: float, X: float) -> float:
     return 6.0 * (2.0 * abs(mu)) ** (-2.0 / 3.0) / math.sqrt(ratio2)
 
 
-def rainbow_cs(phi: float, mu: float, X: float) -> float:
+def rainbow_cs(phi, mu: float, X: float):
     """Airy-regularised rainbow cross section in units of r_c (weak field),
 
         (2 pi / X) (2|mu|)^(4/3) [(X/2mu)^2 - 1]
@@ -492,65 +512,63 @@ def rainbow_cs(phi: float, mu: float, X: float) -> float:
     coefficient of Ai^2 is 2 pi (2/|chi'''|)^(2/3) in 1/k units) and is
     confirmed by the exact solver at the rainbow peak to better than 1%.
     """
+    p = _angles(phi)
     if mu == 0.0 or 2.0 * abs(mu) > X:
         raise ValueError("rainbow form needs 0 < 2|mu| <= X")
     ratio2 = (X / (2.0 * mu)) ** 2 - 1.0
-    if ratio2 == 0.0:
-        return 0.0
     arg = (-math.copysign(1.0, mu)
-           * (phi + 2.0 * math.asin(2.0 * mu / X))
+           * (p + 2.0 * math.asin(2.0 * mu / X))
            * (2.0 * abs(mu)) ** (2.0 / 3.0) * math.sqrt(ratio2))
-    if arg > specfun.SUPPORTED_MAX_AIRY:
-        return 0.0
-    if arg < -specfun.SUPPORTED_MAX_AIRY:
+    if (arg < -specfun.SUPPORTED_MAX_AIRY).any():
         raise ValueError("angle too deep in the classical region for the rainbow form")
-    return (2.0 * math.pi / X) * (2.0 * abs(mu)) ** (4.0 / 3.0) * ratio2 \
-        * specfun.airy_ai(arg) ** 2
+    # Ai^2 has underflowed to 0 by the supported edge, so clipping there loses nothing
+    ai = specfun.airy_ai(np.minimum(arg, specfun.SUPPORTED_MAX_AIRY))
+    return _like(phi, (2.0 * math.pi / X) * (2.0 * abs(mu)) ** (4.0 / 3.0) * ratio2 * ai ** 2)
 
 
-def penetration_cs(phi: float, mu: float, X: float) -> tuple[float, str]:
+def penetration_cs(phi, mu: float, X: float):
     """Penetration cross section in units of r_c, with its branch tag.
 
     Strong field (2|mu| > X): deflection to all angles, the classical
     form.  Weak field: inside the allowed window
     0 <= -sgn(mu) phi < 2 arcsin(2|mu|/X) the two-branch interference
     form; within the Airy width of the window edge the rainbow form;
-    elsewhere 0 with the "Outside" tag.
+    elsewhere 0 with the "Outside" tag.  A scalar angle gives a float and
+    a str, an array of angles an array of values and one of tags.
     """
     if mu == 0.0:
         raise ValueError("penetration needs mu != 0")
-    if not (-math.pi < phi < math.pi):
-        raise ValueError("phi must lie in (-pi, pi)")
+    p = _angles(phi)
     r = X / (2.0 * mu)  # signed ratio r_B/r_c * sgn(e B)
     if 2.0 * abs(mu) > X:
-        return classical_cs(phi, abs(r), 1 if mu > 0.0 else -1), STRONG
+        val = classical_cs(p, abs(r), 1 if mu > 0.0 else -1)
+        return _like(phi, val), _like(phi, np.full(p.shape, STRONG))
 
     phi_extr = rainbow_angle(mu, X)
     width = rainbow_window_halfwidth(mu, X)
-    if width > 0.0 and abs(phi - phi_extr) <= width:
-        return rainbow_cs(phi, mu, X), RAINBOW_BRANCH
+    rainbow = (width > 0.0) & (np.abs(p - phi_extr) <= width)
+    t = -math.copysign(1.0, mu) * p
+    root2 = 1.0 - r * r * np.sin(p / 2.0) ** 2
+    # root2 <= 0 grazes the caustic outside the declared rainbow window: "Outside"
+    weak = ~rainbow & (0.0 <= t) & (t < abs(phi_extr)) & ((r * r == 1.0) | (root2 > 0.0))
 
-    inside = 0.0 <= -math.copysign(1.0, mu) * phi < abs(phi_extr)
-    if not inside:
-        return 0.0, OUTSIDE
-
-    sh = abs(math.sin(phi / 2.0))
+    val = np.zeros(p.shape)
+    val[rainbow] = rainbow_cs(p[rainbow], mu, X)
+    q, root2 = p[weak], root2[weak]
     if r * r == 1.0:
         # algebraic limit at 2|mu| = X: the interference coefficient
         # vanishes and sh (1 + cos phi)/|cos(phi/2)| collapses to |sin phi|;
         # evaluating the collapsed form avoids the 1 + cos phi cancellation
-        return abs(math.sin(phi)), WEAK
-    root2 = 1.0 - r * r * math.sin(phi / 2.0) ** 2
-    if root2 <= 0.0:
-        # grazes the caustic outside the declared rainbow window
-        return 0.0, OUTSIDE
-    osc = math.sin(4.0 * abs(mu) * math.acos(min(abs(r) * sh, 1.0))
-                   - 2.0 * X * sh * math.sqrt(root2))
-    val = sh / math.sqrt(root2) * (1.0 + r * r * math.cos(phi) + (r * r - 1.0) * osc)
-    return val, WEAK
+        val[weak] = np.abs(np.sin(q))
+    else:
+        sh = np.abs(np.sin(q / 2.0))
+        osc = np.sin(4.0 * abs(mu) * np.arccos(np.minimum(abs(r) * sh, 1.0))
+                     - 2.0 * X * sh * np.sqrt(root2))
+        val[weak] = sh / np.sqrt(root2) * (1.0 + r * r * np.cos(q) + (r * r - 1.0) * osc)
+    return _like(phi, val), _like(phi, np.select([rainbow, weak], [RAINBOW_BRANCH, WEAK], OUTSIDE))
 
 
-def classical_cs(phi: float, rb_over_rc: float, sign_eB: int = +1) -> float:
+def classical_cs(phi, rb_over_rc: float, sign_eB: int = +1):
     """Classical trajectory-counting cross section in units of r_c.
 
     Strong field (rb_over_rc < 1): all deflection angles,
@@ -563,27 +581,25 @@ def classical_cs(phi: float, rb_over_rc: float, sign_eB: int = +1) -> float:
     (returned as ``math.inf``); rb_over_rc = 1 gives |sin phi| on the
     half-range.  Symmetric under (phi, eB) -> (-phi, -eB).
     """
-    if not (-math.pi < phi < math.pi):
-        raise ValueError("phi must lie in (-pi, pi)")
+    p = _angles(phi)
     if not (rb_over_rc > 0.0):
         raise ValueError("rb_over_rc must be positive")
     if sign_eB not in (+1, -1):
         raise ValueError("sign_eB must be +1 or -1")
     rho = rb_over_rc
+    s = np.sin(p / 2.0)
     if rho < 1.0:
-        return abs(math.sin(phi / 2.0)) * (
-            0.5 * (1.0 + rho * rho * math.cos(phi))
-            / math.sqrt(1.0 - rho * rho * math.sin(phi / 2.0) ** 2)
-            - (sign_eB * math.copysign(1.0, phi)) * rho * math.cos(phi / 2.0))
+        return _like(phi, np.abs(s) * (
+            0.5 * (1.0 + rho * rho * np.cos(p))
+            / np.sqrt(1.0 - rho * rho * s ** 2)
+            - (sign_eB * np.copysign(1.0, p)) * rho * np.cos(p / 2.0)))
+    t = -sign_eB * p
     if rho == 1.0:
-        if 0.0 <= -sign_eB * phi <= math.pi:
-            return abs(math.sin(phi))
-        return 0.0
-    edge = 2.0 * math.asin(1.0 / rho)
-    t = -sign_eB * phi
-    if not (0.0 <= t <= edge):
-        return 0.0
-    root2 = 1.0 - rho * rho * math.sin(phi / 2.0) ** 2
-    if root2 <= 0.0:
-        return math.inf
-    return abs(math.sin(phi / 2.0)) * (1.0 + rho * rho * math.cos(phi)) / math.sqrt(root2)
+        return _like(phi, np.where(t >= 0.0, np.abs(np.sin(p)), 0.0))
+    with np.errstate(invalid="ignore"):  # rho = inf (no field) at phi = 0: 0 * inf = nan
+        root2 = 1.0 - rho * rho * s ** 2
+        inside = (0.0 <= t) & (t <= 2.0 * math.asin(1.0 / rho))
+        val = np.where(inside & (root2 <= 0.0), math.inf, 0.0)
+        lit = inside & ~(root2 <= 0.0)
+        val[lit] = np.abs(s[lit]) * (1.0 + rho * rho * np.cos(p[lit])) / np.sqrt(root2[lit])
+    return _like(phi, val)

@@ -142,16 +142,13 @@ def _fringe_peaks(mu: float, X: float) -> list[tuple[float, float]]:
     mu = mu - math.floor(mu)
     lo, hi = -2.0 * math.pi / X, 2.0 * math.pi / X
     grid = np.linspace(lo, hi, 801)
-    dvals = [asy.fraunhofer_cs_dphi(p, mu, X) for p in grid]
-    peaks = []
-    for i in range(len(grid) - 1):
-        if dvals[i] > 0.0 and dvals[i + 1] <= 0.0:  # maximum bracket
-            root = brentq(lambda p: asy.fraunhofer_cs_dphi(p, mu, X),
-                          grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
-            peaks.append((root, asy.fraunhofer_cs(root, mu, X)))
-    peaks.sort(key=lambda t: -t[1])
-    top = sorted(peaks[:2])  # up to two dominant peaks, reported left to right
-    return top
+    dvals = asy.fraunhofer_cs_dphi(grid, mu, X)
+    roots = [brentq(lambda p: asy.fraunhofer_cs_dphi(p, mu, X),
+                    grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
+             for i in np.nonzero((dvals[:-1] > 0.0) & (dvals[1:] <= 0.0))[0]]  # maximum brackets
+    peaks = sorted(zip(roots, asy.fraunhofer_cs(np.array(roots), mu, X).tolist()),
+                   key=lambda t: -t[1])
+    return sorted(peaks[:2])  # up to two dominant peaks, reported left to right
 
 
 def fringe_sweep(base: VortexParams, mu_grid, output_path: str) -> str:
@@ -162,18 +159,12 @@ def fringe_sweep(base: VortexParams, mu_grid, output_path: str) -> str:
     single peak leaves the second pair of cells empty.
     """
     mu_grid = list(mu_grid)
-    if any(not (0.0 <= m <= 3.0) for m in mu_grid):
-        raise ValueError("flux sweep grid must lie in [0, 3]")
+    if not mu_grid or any(not (0.0 <= m <= 3.0) for m in mu_grid):
+        raise ValueError("flux sweep grid must be non-empty and lie in [0, 3]")
     lines = ["mu,peak_phi_1,peak_value_1,peak_phi_2,peak_value_2"]
     for mu in mu_grid:
-        peaks = _fringe_peaks(mu, base.X)
-        cells = [_fmt(mu)]
-        for i in range(2):
-            if i < len(peaks):
-                cells += [_fmt(peaks[i][0]), _fmt(peaks[i][1])]
-            else:
-                cells += ["", ""]
-        lines.append(",".join(cells))
+        cells = [_fmt(mu)] + [_fmt(v) for peak in _fringe_peaks(mu, base.X) for v in peak]
+        lines.append(",".join(cells + [""] * (5 - len(cells))))
     with open(output_path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return output_path
@@ -290,6 +281,7 @@ def _parse_kappa(text: str) -> float:
 
 
 _UNITS = ("k", "rc")
+_REQUIRED = object()  # default of a setting that has none
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -337,35 +329,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _scenario_from_args(args, need_methods=True) -> Scenario:
+def _settings(args):
+    """``pick(key, conv, default)``: flag, else scenario-file value via conv, else default."""
     file_vals = _load_scenario_file(args.scenario) if args.scenario else {}
 
-    def pick(flag_val, key, conv, default):
+    def pick(key, conv, default):
+        flag_val = getattr(args, key, None)
         if flag_val is not None:
             return flag_val
         if key in file_vals:
             return conv(file_vals[key])
+        if default is _REQUIRED:
+            raise ValueError(f"{key} is required (flag --{key.replace('_', '-')} or scenario file)")
         return default
 
-    X = pick(getattr(args, "kr_c", None), "kr_c", float, None)
-    if X is None:
-        raise ValueError("kr_c is required (flag --kr-c or scenario file)")
-    mu = pick(getattr(args, "mu", None), "mu", float, 0.0)
-    kappa = pick(args.kappa, "kappa", _parse_kappa, 0.0)
-    sigma = pick(args.sigma, "sigma", int, +1)
-    params = VortexParams(X=X, mu=mu, kappa=kappa, sigma=sigma)
+    return pick
 
-    phi_min = pick(getattr(args, "phi_min", None), "phi_min", float, -math.pi + 1e-3)
-    phi_max = pick(getattr(args, "phi_max", None), "phi_max", float, math.pi - 1e-3)
-    steps = pick(getattr(args, "steps", None), "steps", int, 2001)
-    methods = getattr(args, "method", None)
+
+def _scenario_from_args(args) -> Scenario:
+    pick = _settings(args)
+    params = VortexParams(X=pick("kr_c", float, _REQUIRED), mu=pick("mu", float, 0.0),
+                          kappa=pick("kappa", _parse_kappa, 0.0), sigma=pick("sigma", int, +1))
+    phi_min = pick("phi_min", float, -math.pi + 1e-3)
+    phi_max = pick("phi_max", float, math.pi - 1e-3)
+    steps = pick("steps", int, 2001)
+    methods = args.method
     if methods is None:
-        raw = file_vals.get("methods", amp.EXACT if need_methods else "")
-        methods = [m.strip() for m in raw.split(";") if m.strip()]
+        methods = [m.strip() for m in pick("methods", str, amp.EXACT).split(";") if m.strip()]
     canon = {m.lower(): m for m in amp.METHOD_TAGS}
     methods = tuple(canon.get(m.lower(), m) for m in methods)
-    out = pick(getattr(args, "out", None), "out", str, "curves.csv")
-    units = pick(getattr(args, "units", None), "units", str, "k")
+    out = pick("out", str, "curves.csv")
+    units = pick("units", str, "k")
     if units not in _UNITS:
         raise ValueError(f"units must be one of {_UNITS}, got {units!r}")
     return Scenario(params=params, grid=(phi_min, phi_max, steps),
@@ -381,12 +375,10 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
             return EXIT_OK
         if args.command == "sweep":
-            file_vals = _load_scenario_file(args.scenario) if args.scenario else {}
-            X = args.kr_c if args.kr_c is not None else float(file_vals.get("kr_c", "nan"))
-            if math.isnan(X):
-                raise ValueError("kr_c is required")
+            pick = _settings(args)
             mu_grid = np.linspace(args.mu_min, args.mu_max, args.mu_steps)
-            path = fringe_sweep(VortexParams(X=X, mu=0.0), mu_grid, args.out or "fringes.csv")
+            path = fringe_sweep(VortexParams(X=pick("kr_c", float, _REQUIRED), mu=0.0), mu_grid,
+                                pick("out", str, "fringes.csv"))
             print(f"wrote {path}")
             return EXIT_OK
         if args.command == "compare":

@@ -31,9 +31,9 @@ Conventions
     damped for y > 0, oscillating for y < 0.
 
 Supported range: 0 <= nu <= 1250 and 0 < x <= 1000 for the cylinder
-functions, |y| <= 100 for Ai.  The real cylinder functions also accept a
-numpy array of orders, checked as a whole.  All functions are pure and
-reentrant.
+functions, |y| <= 100 for Ai.  The real cylinder functions accept a numpy
+array of orders and ``airy_ai`` one of arguments, checked as a whole.
+All functions are pure and reentrant.
 
 Derivatives are produced by the standard recurrence
 C'_nu = (C_{nu-1} - C_{nu+1}) / 2, never by finite differences, because
@@ -138,18 +138,14 @@ def hankel_out_deriv(kind: int, nu: float, x: float) -> complex:
     return pref * complex(jp, kind * yp)
 
 
-def airy_ai(y: float) -> float:
-    """Airy function Ai(y) for |y| <= 100."""
-    if not (abs(y) <= SUPPORTED_MAX_AIRY):
-        raise ValueError(f"Airy argument y={y} outside supported range |y| <= {SUPPORTED_MAX_AIRY}")
-    return float(_sp.airy(y)[0])
-
-
-def airy_ai_deriv(y: float) -> float:
-    """Ai'(y), used to locate the principal rainbow maximum."""
-    if not (abs(y) <= SUPPORTED_MAX_AIRY):
-        raise ValueError(f"Airy argument y={y} outside supported range |y| <= {SUPPORTED_MAX_AIRY}")
-    return float(_sp.airy(y)[1])
+def airy_ai(y):
+    """Airy function Ai(y) for |y| <= 100; accepts arrays."""
+    y = np.asarray(y, dtype=float)
+    if not (np.abs(y) <= SUPPORTED_MAX_AIRY).all():
+        raise ValueError(f"Airy argument |y| = {np.abs(y).max()} outside supported range "
+                         f"|y| <= {SUPPORTED_MAX_AIRY}")
+    out = _sp.airy(y)[0]
+    return out if y.ndim else float(out)
 
 
 # First maximum of Ai(-t): root of Ai'(-t), t > 0.  Sets the offset of the

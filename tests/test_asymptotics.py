@@ -517,6 +517,14 @@ def test_classical_weak_field_edge_divergence_quantum_finite():
     assert math.isfinite(val) and branch == "Rainbow"
 
 
+def test_classical_free_field_is_zero_off_forward():
+    # rb_over_rc = inf (mu = 0): no deflection away from phi = 0, where the
+    # form is undefined (nan); no numpy warning escapes
+    val = classical_cs(np.array([-0.5, 0.0, 0.5]), math.inf)
+    assert val[0] == val[2] == 0.0 and math.isnan(val[1])
+    assert math.isnan(_oracle_classical_cs(0.0, math.inf, +1))
+
+
 def test_classical_input_validation():
     with pytest.raises(ValueError):
         classical_cs(0.2, -1.0)
@@ -524,3 +532,139 @@ def test_classical_input_validation():
         classical_cs(3.5, 1.0)
     with pytest.raises(ValueError):
         classical_cs(0.2, 1.0, 0)
+
+
+def test_fraunhofer_derivative_forward_limit():
+    # the analytic forward limit -(X^3/pi) sin(2 mu pi) against a central
+    # difference of the cross section through phi = 0
+    h = 1e-7
+    for mu, X in ((0.3, 30.0), (0.1, 100.0), (0.77, 200.0)):
+        fd = (fraunhofer_cs(h, mu, X) - fraunhofer_cs(-h, mu, X)) / (2 * h)
+        assert fraunhofer_cs_dphi(0.0, mu, X) == pytest.approx(fd, rel=1e-6)
+
+
+def test_rainbow_input_validation():
+    with pytest.raises(ValueError):
+        rainbow_cs(3.5, 10.0, 100.0)
+    with pytest.raises(ValueError):
+        rainbow_cs(np.array([0.1, -math.pi]), 10.0, 100.0)
+    with pytest.raises(ValueError):
+        rainbow_cs(0.1, 60.0, 100.0)
+    with pytest.raises(ValueError, match="too deep"):
+        rainbow_cs(np.array([-0.5, 2.5]), 70.0, 480.0)
+
+
+# ---------------------------------------------------------------------------
+# array closed forms against per-angle scalar oracles
+# ---------------------------------------------------------------------------
+
+def _oracle_rainbow_cs(phi, mu, X):
+    """Per-angle scalar rainbow form, kept as the reference."""
+    ratio2 = (X / (2.0 * mu)) ** 2 - 1.0
+    if ratio2 == 0.0:
+        return 0.0
+    arg = (-math.copysign(1.0, mu)
+           * (phi + 2.0 * math.asin(2.0 * mu / X))
+           * (2.0 * abs(mu)) ** (2.0 / 3.0) * math.sqrt(ratio2))
+    if arg > specfun.SUPPORTED_MAX_AIRY:
+        return 0.0
+    return (2.0 * math.pi / X) * (2.0 * abs(mu)) ** (4.0 / 3.0) * ratio2 \
+        * specfun.airy_ai(arg) ** 2
+
+
+def _oracle_classical_cs(phi, rho, sign_eB):
+    """Per-angle scalar classical form with math-module arithmetic."""
+    if rho < 1.0:
+        return abs(math.sin(phi / 2.0)) * (
+            0.5 * (1.0 + rho * rho * math.cos(phi))
+            / math.sqrt(1.0 - rho * rho * math.sin(phi / 2.0) ** 2)
+            - (sign_eB * math.copysign(1.0, phi)) * rho * math.cos(phi / 2.0))
+    if rho == 1.0:
+        return abs(math.sin(phi)) if 0.0 <= -sign_eB * phi <= math.pi else 0.0
+    t = -sign_eB * phi
+    if not (0.0 <= t <= 2.0 * math.asin(1.0 / rho)):
+        return 0.0
+    root2 = 1.0 - rho * rho * math.sin(phi / 2.0) ** 2
+    if root2 <= 0.0:
+        return math.inf
+    return abs(math.sin(phi / 2.0)) * (1.0 + rho * rho * math.cos(phi)) / math.sqrt(root2)
+
+
+def _oracle_penetration_cs(phi, mu, X):
+    """Per-angle scalar penetration form: branch tests in the order
+    rainbow, outside, weak, caustic."""
+    r = X / (2.0 * mu)
+    if 2.0 * abs(mu) > X:
+        return _oracle_classical_cs(phi, abs(r), 1 if mu > 0.0 else -1), "Strong"
+    phi_extr = rainbow_angle(mu, X)
+    width = rainbow_window_halfwidth(mu, X)
+    if width > 0.0 and abs(phi - phi_extr) <= width:
+        return _oracle_rainbow_cs(phi, mu, X), "Rainbow"
+    if not (0.0 <= -math.copysign(1.0, mu) * phi < abs(phi_extr)):
+        return 0.0, "Outside"
+    sh = abs(math.sin(phi / 2.0))
+    if r * r == 1.0:
+        return abs(math.sin(phi)), "Weak"
+    root2 = 1.0 - r * r * math.sin(phi / 2.0) ** 2
+    if root2 <= 0.0:
+        return 0.0, "Outside"
+    osc = math.sin(4.0 * abs(mu) * math.acos(min(abs(r) * sh, 1.0))
+                   - 2.0 * X * sh * math.sqrt(root2))
+    return sh / math.sqrt(root2) * (1.0 + r * r * math.cos(phi) + (r * r - 1.0) * osc), "Weak"
+
+
+# (X, mu): strong field, weak field, equal radii 2|mu| = X, both signs of mu
+_ORACLE_CASES = [(40.0, 30.0), (40.0, -30.0), (100.0, 12.3), (100.0, -30.0),
+                 (480.0, 70.3), (480.0, -150.0), (20.0, 10.0), (20.0, -10.0),
+                 (100.0, 49.999)]
+
+
+def _dense_grids(mu, X):
+    """The whole angle range, plus the rainbow window where there is one."""
+    grids = [np.linspace(-math.pi + 1e-9, math.pi - 1e-9, 8001)]
+    if 2.0 * abs(mu) < X:
+        pe, w = rainbow_angle(mu, X), rainbow_window_halfwidth(mu, X)
+        grids.append(np.linspace(max(pe - 3.0 * w, -3.14), min(pe + 3.0 * w, 3.14), 2001))
+    return grids
+
+
+@pytest.mark.parametrize("X,mu", _ORACLE_CASES)
+def test_array_penetration_and_classical_match_scalar_oracles(X, mu):
+    rho, sign = abs(X / (2.0 * mu)), (1 if mu > 0.0 else -1)
+    for grid in _dense_grids(mu, X):
+        val, tag = penetration_cs(grid, mu, X)
+        ref = [_oracle_penetration_cs(float(p), mu, X) for p in grid]
+        assert tag.tolist() == [t for _, t in ref]
+        np.testing.assert_allclose(val, [v for v, _ in ref], rtol=1e-12, atol=0.0)
+        cls = [_oracle_classical_cs(float(p), rho, sign) for p in grid]
+        np.testing.assert_allclose(classical_cs(grid, rho, sign), cls, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("X,mu", _ORACLE_CASES)
+def test_array_closed_forms_equal_scalar_calls_bit_for_bit(X, mu):
+    rho, sign = abs(X / (2.0 * mu)), (1 if mu > 0.0 else -1)
+    forms = [lambda p: fraunhofer_cs(p, mu, X), lambda p: fraunhofer_cs_dphi(p, mu, X),
+             lambda p: classical_cs(p, rho, sign), lambda p: penetration_cs(p, mu, X)[0]]
+    for grid in _dense_grids(mu, X):
+        grid = grid[::7]
+        for form in forms:
+            scalars = [form(float(p)) for p in grid]
+            assert all(type(s) is float for s in scalars)
+            assert np.array_equal(form(grid), scalars)
+        tags = [penetration_cs(float(p), mu, X)[1] for p in grid]
+        assert all(type(t) is str for t in tags)
+        assert penetration_cs(grid, mu, X)[1].tolist() == tags
+        if 2.0 * abs(mu) <= X:
+            window = grid[np.abs(grid - rainbow_angle(mu, X)) <= 3.0 * rainbow_window_halfwidth(mu, X)]
+            scalars = [rainbow_cs(float(p), mu, X) for p in window]
+            assert all(type(s) is float for s in scalars)
+            assert np.array_equal(rainbow_cs(window, mu, X), scalars)
+
+
+def test_array_airy_equals_scalar_calls_bit_for_bit():
+    y = np.linspace(-100.0, 100.0, 4001)
+    scalars = [specfun.airy_ai(float(v)) for v in y]
+    assert all(type(s) is float for s in scalars)
+    assert np.array_equal(specfun.airy_ai(y), scalars)
+    with pytest.raises(ValueError):
+        specfun.airy_ai(np.array([0.0, 100.5]))

@@ -196,3 +196,25 @@ def test_sweep_rejects_shell_and_spin_flags(tmp_path, capsys):
         assert exc.value.code == cli.EXIT_INVALID
         assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_sweep_scenario_file_sets_output(tmp_path, monkeypatch):
+    # sweep reads kr_c and out from the scenario file like curve and compare
+    monkeypatch.chdir(tmp_path)
+    scen = tmp_path / "scenario.txt"
+    scen.write_text(f"kr_c = 100\nout = {tmp_path / 'from_file.csv'}\n")
+    assert run(["sweep", "--scenario", str(scen), "--mu-steps", "3"]) == cli.EXIT_OK
+    assert len((tmp_path / "from_file.csv").read_text().strip().split("\n")) == 4
+    assert not (tmp_path / "fringes.csv").exists()
+    # a flag overrides the file value
+    assert run(["sweep", "--scenario", str(scen), "--mu-steps", "3",
+                "--out", str(tmp_path / "flag.csv")]) == cli.EXIT_OK
+    assert (tmp_path / "flag.csv").exists()
+
+
+def test_sweep_rejects_an_empty_flux_grid(tmp_path, capsys):
+    out = tmp_path / "empty.csv"
+    assert run(["sweep", "--kr-c", "100", "--mu-steps", "0", "--out", str(out)]) == cli.EXIT_INVALID
+    assert "non-empty" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["sweep", "--out", str(out)]) == cli.EXIT_INVALID  # no kr_c anywhere
