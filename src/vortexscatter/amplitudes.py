@@ -23,9 +23,13 @@ near-mode combination sum P_n (1 + c_n) cancels identically, so the
 scattered amplitude is accumulated in exactly that form and split into
 f1 and f2 afterwards.
 
-Each mode sum is one fixed-order contraction over the modes, taken in
-blocks of angles, so identical inputs give identical bits at any BLAS
-thread count and the phase matrix never exceeds one block.
+Each mode sum factors its phases baby-step giant-step,
+e^{i n phi} = e^{i (n0 + B a) phi} e^{i b phi} with B ~ sqrt(K) for K
+modes, so a block of angles needs ~2 sqrt(K) complex exponentials per
+angle instead of K.  Two fixed-order einsum contractions, over b and
+then over a, take the sum one block of angles at a time, so identical
+inputs give identical bits at any BLAS thread count and no table
+exceeds one block.
 """
 
 from __future__ import annotations
@@ -88,18 +92,33 @@ def ab_amplitude(phi, mu: float):
 
 def _mode_sum(phi, ns: np.ndarray, weights):
     """(i/sqrt(2 pi)) sum_n weights_n e^{i n phi} over a scalar angle or an
-    angle grid; ``weights`` is one row of per-mode weights, or a 2-d array
-    with one row per sum.
+    angle grid; ``ns`` holds distinct integers and ``weights`` one row of
+    per-mode weights, or a 2-d array with one row per sum.
 
-    einsum's own loop contracts each block of _BLOCK angles; a BLAS
-    product (``@``) would change bits with the BLAS thread count.
+    Baby-step giant-step phases: over the K integers from min(ns) = n0 up,
+    n = n0 + B a + b with 0 <= b < B = ceil(sqrt(K)), so per block of
+    _BLOCK angles e^{i n phi} = e^{i (n0 + B a) phi} e^{i b phi} takes two
+    exp tables of A + B ~ 2 sqrt(K) rows.  The weights are scattered into
+    a zero-padded complex (A, B) array and contracted over b, then over
+    a.  einsum's own loops do both contractions; a BLAS product (``@``)
+    would change bits with the BLAS thread count.
     """
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
     weights = np.asarray(weights)
+    n0 = int(ns.min())
+    K = int(ns.max()) - n0 + 1
+    B = math.isqrt(K - 1) + 1  # ceil(sqrt(K))
+    A = -(-K // B)
+    padded = np.zeros(weights.shape[:-1] + (A * B,), dtype=complex)
+    padded[..., ns - n0] = weights
+    padded = padded.reshape(weights.shape[:-1] + (A, B))
+    giant = n0 + B * np.arange(A)
     total = np.empty(weights.shape[:-1] + phi_arr.shape, dtype=complex)
     for start in range(0, len(phi_arr), _BLOCK):
-        block = np.exp(np.outer(ns, 1j * phi_arr[start:start + _BLOCK]))
-        total[..., start:start + _BLOCK] = np.einsum("...n,nb->...b", weights, block)
+        block = phi_arr[start:start + _BLOCK]
+        inner = np.einsum("...ab,jb->...ja", padded, np.exp(np.outer(1j * block, np.arange(B))))
+        total[..., start:start + _BLOCK] = np.einsum(
+            "...ja,ja->...j", inner, np.exp(np.outer(1j * block, giant)))
     total = 1j / SQRT_2PI * total
     return total if np.ndim(phi) else total[..., 0][()]
 
@@ -248,6 +267,9 @@ def cross_section_curve(params: VortexParams, grid: np.ndarray | None = None,
     elif method == RAINBOW:
         value = asymptotics.rainbow_cs(grid, mu, X) * X
     elif method == CLASSICAL:
+        if mu == 0.0:
+            raise ValueError("the Classical method needs mu != 0: without a field "
+                             "there is no classical deflection")
         sign = +1 if mu >= 0.0 else -1
         value = asymptotics.classical_cs(grid, params.orbit_radius_ratio, sign) * X
     elif method == AB:

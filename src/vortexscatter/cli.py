@@ -158,6 +158,9 @@ def fringe_sweep(base: VortexParams, mu_grid, output_path: str) -> str:
     Peak columns are exactly periodic in mu with period 1; a row with a
     single peak leaves the second pair of cells empty.
     """
+    if base.X < 2.0:
+        raise ValueError(f"sweep needs kr_c >= 2, got kr_c = {base.X:g}: the central "
+                         "lobe |phi| <= 2 pi/kr_c must not pass phi = pi")
     mu_grid = list(mu_grid)
     if not mu_grid or any(not (0.0 <= m <= 3.0) for m in mu_grid):
         raise ValueError("flux sweep grid must be non-empty and lie in [0, 3]")

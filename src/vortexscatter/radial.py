@@ -424,8 +424,7 @@ def mode_table(params: VortexParams) -> ModeTable:
             f"the supported range (order <= {specfun.SUPPORTED_MAX_ORDER:g}, "
             f"argument <= {specfun.SUPPORTED_MAX_ARGUMENT:g})")
     with np.errstate(all="ignore"):
-        j, jp = specfun.bessel_j(nu, X), specfun.bessel_j_deriv(nu, X)
-        y, yp = specfun.bessel_second(nu, X), specfun.bessel_second_deriv(nu, X)
+        j, jp, y, yp = specfun.cylinder_pairs(nu, X)
         live = near | (np.isfinite(y) & np.isfinite(yp))
         if math.isinf(kappa):
             p, q = j, y

@@ -35,9 +35,11 @@ functions, |y| <= 100 for Ai.  The real cylinder functions accept a numpy
 array of orders and ``airy_ai`` one of arguments, checked as a whole.
 All functions are pure and reentrant.
 
-Derivatives are produced by the standard recurrence
-C'_nu = (C_{nu-1} - C_{nu+1}) / 2, never by finite differences, because
-the delta-shell matching consumes them at full precision.
+Derivatives are produced by the recurrence C'_nu = C_{nu-1} - (nu/x) C_nu
+(DLMF 10.6.2), never by finite differences, because the delta-shell
+matching consumes them at full precision.  :func:`cylinder_pairs` gives
+J, J', Y and Y' on an array of orders from one J and one Y evaluation over
+the distinct orders among nu and nu - 1.
 """
 
 from __future__ import annotations
@@ -69,6 +71,16 @@ def _cylinder(fn, nu, x: float):
     return out if isinstance(nu, np.ndarray) else float(out)
 
 
+def _deriv(below, value, nu, x: float):
+    """C'_nu(x) from C_{nu-1}(x) and C_nu(x) (DLMF 10.6.2)."""
+    return below - (nu / x) * value
+
+
+def _derivative(fn):
+    """d/dx of the cylinder function ``fn`` through :func:`_deriv`."""
+    return lambda nu, x: _deriv(fn(nu - 1.0, x), fn(nu, x), nu, x)
+
+
 def bessel_j(nu, x):
     """Regular cylinder function J_nu(x) for real nonnegative order.
 
@@ -90,8 +102,8 @@ def bessel_j(nu, x):
 
 
 def bessel_j_deriv(nu, x):
-    """d/dx J_nu(x) via the recurrence (J_{nu-1} - J_{nu+1})/2."""
-    return _cylinder(_sp.jvp, nu, x)
+    """d/dx J_nu(x) via the recurrence J_{nu-1} - (nu/x) J_nu."""
+    return _cylinder(_derivative(_sp.jv), nu, x)
 
 
 def bessel_second(nu, x):
@@ -103,8 +115,22 @@ def bessel_second(nu, x):
 
 
 def bessel_second_deriv(nu, x):
-    """d/dx Y_nu(x) via the recurrence (Y_{nu-1} - Y_{nu+1})/2."""
-    return _cylinder(_sp.yvp, nu, x)
+    """d/dx Y_nu(x) via the recurrence Y_{nu-1} - (nu/x) Y_nu."""
+    return _cylinder(_derivative(_sp.yv), nu, x)
+
+
+def cylinder_pairs(nu: np.ndarray, x: float) -> tuple[np.ndarray, ...]:
+    """(J, J', Y, Y') at every order of ``nu``, bit for bit those of
+    :func:`bessel_j`, :func:`bessel_j_deriv`, :func:`bessel_second` and
+    :func:`bessel_second_deriv`, from one J and one Y evaluation over the
+    distinct orders among nu and nu - 1."""
+    _check_order_arg(nu, x)
+    orders, at = np.unique(np.concatenate([nu, nu - 1.0]), return_inverse=True)
+    out = []
+    for fn in (_sp.jv, _sp.yv):
+        value, below = np.split(fn(orders, x)[at], 2)
+        out += [value, _deriv(below, value, nu, x)]
+    return tuple(out)
 
 
 def hankel_out(kind: int, nu: float, x: float) -> complex:
@@ -128,12 +154,11 @@ def hankel_out(kind: int, nu: float, x: float) -> complex:
 
 
 def hankel_out_deriv(kind: int, nu: float, x: float) -> complex:
-    """d/dx of :func:`hankel_out`, same recurrence as the real members."""
+    """d/dx of :func:`hankel_out`, from :func:`bessel_j_deriv` and
+    :func:`bessel_second_deriv`."""
     if kind not in (+1, -1):
         raise ValueError(f"kind must be +1 or -1, got {kind}")
-    _check_order_arg(nu, x)
-    jp = float(_sp.jvp(nu, x))
-    yp = float(_sp.yvp(nu, x))
+    jp, yp = bessel_j_deriv(nu, x), bessel_second_deriv(nu, x)
     pref = math.sqrt(math.pi / 2.0)
     return pref * complex(jp, kind * yp)
 

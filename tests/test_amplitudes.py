@@ -162,6 +162,50 @@ def test_mode_sums_match_fsum_oracle_across_block_edges(X, mu, kappa):
         assert np.abs(got - ref).max() <= 1e-13 * peak, len(g)
 
 
+def _fsum_mode_sum(phi, ns, weights):
+    """(i/sqrt(2 pi)) sum_n weights_n e^{i n phi} at each angle, a math.fsum
+    of the mode terms."""
+    out = np.empty(len(phi), dtype=complex)
+    for j, x in enumerate(phi):
+        t = weights * np.exp(1j * ns * x)
+        out[j] = complex(math.fsum(t.real.tolist()), math.fsum(t.imag.tolist()))
+    return 1j / math.sqrt(2.0 * math.pi) * out
+
+
+@pytest.mark.parametrize("ns", [
+    np.array([7]),                                     # one mode, K = 1
+    np.arange(-600, 625),                              # K = 35^2: no padding
+    np.arange(-600, 626),                              # K = 35^2 + 1: B = 36, a last row of 2
+    np.array([-40, -39, -12, 0, 3, 4, 5, 88, 300]),    # gapped, non-contiguous
+], ids=["K=1", "K=B^2", "K=B^2+1", "gapped"])
+def test_mode_sum_factorisation_edge_cases_match_fsum_oracle(ns):
+    # the baby-step giant-step layout pads the modes to an (A, B) array;
+    # whatever the padding, every sum agrees with the oracle to 1e-13 of
+    # its peak, on the grid and at a scalar angle
+    rng = np.random.default_rng(len(ns))
+    weights = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, len(ns))) * (1.0 + 0.01 * ns ** 2) ** -0.5
+    g = np.linspace(-3.1, 3.1, 515)
+    ref = _fsum_mode_sum(g, ns, weights)
+    peak = np.abs(ref).max()
+    assert np.abs(amp._mode_sum(g, ns, weights) - ref).max() <= 1e-13 * peak
+    got = amp._mode_sum(0.3, ns, weights)
+    assert np.ndim(got) == 0
+    assert abs(got - _fsum_mode_sum([0.3], ns, weights)[0]) <= 1e-13 * peak
+
+
+def test_mode_sums_match_fsum_oracle_on_the_cli_grid():
+    # the CLI samples linspace(-0.6, 0.6, 2001) with its zero nudged off
+    # the flux-line singularity: a non-uniform grid near phi = 0
+    from vortexscatter.cli import Scenario
+
+    p = VortexParams(X=480.0, mu=40.7, kappa=0.0)
+    tab = mode_table(p)
+    g = Scenario(p, grid=(-0.6, 0.6, 2001)).angles()
+    ref = _fsum_amplitudes(g, p, tab)
+    got = np.array(amp._table_sums(g, p, tab))
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref[0]).max()
+
+
 def test_fc_sums_memory_is_one_block_of_angles():
     # the phase matrix is built one block of angles at a time: on the
     # 12.7k-angle refined grid the sums must not hold a modes x angles matrix
@@ -318,3 +362,9 @@ def test_classical_and_penetration_units_are_rescaled():
         assert cls.value[i] == pytest.approx(
             asy.classical_cs(float(phi), X / (2 * mu), +1) * X)
     assert pen.extras["branch"] == ["Strong", "Strong"]
+
+
+def test_classical_curve_refuses_zero_flux():
+    p = VortexParams(X=30.0, mu=0.0)
+    with pytest.raises(ValueError, match="mu != 0"):
+        amp.cross_section_curve(p, np.array([-0.5, 0.0, 0.5]), amp.CLASSICAL)

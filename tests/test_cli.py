@@ -218,3 +218,25 @@ def test_sweep_rejects_an_empty_flux_grid(tmp_path, capsys):
     assert "non-empty" in capsys.readouterr().err
     assert not out.exists()
     assert run(["sweep", "--out", str(out)]) == cli.EXIT_INVALID  # no kr_c anywhere
+
+
+def test_sweep_refuses_a_radius_below_two(tmp_path, capsys):
+    # below kr_c = 2 the central lobe |phi| <= 2 pi/kr_c passes phi = pi;
+    # the sweep used to fail there with an angle-range message
+    out = tmp_path / "small.csv"
+    assert run(["sweep", "--kr-c", "1.5", "--out", str(out)]) == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "kr_c" in err and "phi must lie" not in err
+    assert not out.exists()
+    assert run(["sweep", "--kr-c", "2", "--mu-steps", "3", "--out", str(out)]) == cli.EXIT_OK
+
+
+def test_classical_curve_refuses_zero_flux(tmp_path, capsys):
+    # without a field the classical form is undefined at phi = 0; the curve
+    # used to write nan there and exit 0
+    out = tmp_path / "classical.csv"
+    code = run(["curve", "--kr-c", "30", "--mu", "0", "--method", "Classical",
+                "--phi-min", "-1", "--phi-max", "1", "--steps", "3", "--out", str(out)])
+    assert code == cli.EXIT_INVALID
+    assert "mu != 0" in capsys.readouterr().err
+    assert not out.exists()

@@ -111,6 +111,38 @@ def test_large_orders_against_mpmath():
                 assert specfun.bessel_second(nu, x) == pytest.approx(y, rel=1e-12), (nu, x)
 
 
+@pytest.mark.parametrize("x", [30.0, 100.0, 200.0, 480.0])
+def test_derivative_recurrence_against_mpmath(x):
+    # C'_nu = C_{nu-1} - (nu/x) C_nu, for orders nu in [0, 2), where nu - 1
+    # is negative, and across the turning point from x - 3 x^(1/3) to
+    # x + 12 x^(1/3), the span of the mode window; error relative to
+    # |C| + |C'|, worst measured 1.4e-13 (J at x = 480, scipy's own
+    # derivative there: 7.7e-14)
+    import mpmath
+
+    nus = np.concatenate([np.linspace(0.0, 1.95, 14),
+                          np.linspace(x - 3.0 * x ** (1 / 3), x + 12.0 * x ** (1 / 3), 41)])
+    with mpmath.workdps(30):
+        for deriv, fn in ((specfun.bessel_j_deriv, mpmath.besselj),
+                          (specfun.bessel_second_deriv, mpmath.bessely)):
+            for nu in nus:
+                ref = float(fn(nu, x, derivative=1))
+                scale = abs(float(fn(nu, x))) + abs(ref)
+                assert abs(deriv(float(nu), x) - ref) <= 3e-13 * scale, (deriv.__name__, nu, x)
+
+
+def test_cylinder_pairs_equal_the_single_functions():
+    # one J and one Y evaluation over the distinct orders of nu and nu - 1
+    # give the same bits as the four single functions, duplicates included
+    nus = np.array([0.0, 0.37, 1.0, 1.37, 2.0, 12.6, 999.37, 1040.0, 1146.0])
+    pairs = specfun.cylinder_pairs(nus, 1000.0)
+    for fn, got in zip((specfun.bessel_j, specfun.bessel_j_deriv,
+                        specfun.bessel_second, specfun.bessel_second_deriv), pairs):
+        assert got.tolist() == fn(nus, 1000.0).tolist()
+    with pytest.raises(ValueError):
+        specfun.cylinder_pairs(np.array([-0.5, 1.0]), 10.0)
+
+
 # ---------------------------------------------------------------------------
 # second solution
 # ---------------------------------------------------------------------------
