@@ -17,6 +17,9 @@ Contents
 * A Poisson-summation / stationary-phase evaluator for oscillatory mode
   sums (chi' on an array grid, chi'' and chi''' in closed form), with
   Airy uniformisation where stationary points coalesce.
+* ``bracketed_roots``: every bracket of a grid scan refined at once
+  (safeguarded Newton or Illinois steps on arrays); it serves the
+  stationary points, the Airy inflections and the CLI's fringe peaks.
 * The penetration amplitude evaluated from the WKB phases, either by
   direct summation or through the stationary-phase engine.
 * Closed-form differential cross sections: Fraunhofer diffraction,
@@ -225,24 +228,80 @@ class StationaryPhaseReport:
 
 _COT_CLAMP = 10.0
 _SAMPLES = 2048  # grid on which chi' is sampled to bracket the stationary points
+_ROOT_STEPS = 128  # Illinois halves a bracket at least every second step
 
 
-def poisson_stationary_sum(chi: Callable[[float], float],
+def bracketed_roots(f, a, b, fa, fb, df=None, xtol: float = 1e-12,
+                    rtol: float = 4.0 * np.finfo(float).eps) -> np.ndarray:
+    """Refine every bracket [a_i, b_i] to a root of f(x, i) = 0 at once.
+
+    fa, fb come from the caller's grid scan and are never evaluated again:
+    they differ in sign, or one is 0 and its end is the root.  f and df
+    take arrays of points x and bracket indices i.  With df the steps are
+    Newton steps, without it Illinois steps; a step that leaves its
+    bracket bisects, and so does an Illinois step after one that failed to
+    halve the bracket.  A root is frozen once f vanishes, or its bracket or
+    last Newton step is below xtol + rtol |x|, so it does not depend on the
+    other brackets.  Raises ValueError on end values of one sign, and
+    RuntimeError when a bracket has not converged in 128 steps.
+    """
+    lo, hi, flo, fhi = (np.array(v, dtype=float).ravel() for v in (a, b, fa, fb))
+    if (np.sign(flo) * np.sign(fhi) > 0.0).any():
+        raise ValueError("bracket end values share a sign")
+    roots = np.where(flo == 0.0, lo, hi)
+    i = np.nonzero((flo != 0.0) & (fhi != 0.0))[0]
+    lo, hi, flo, fhi = lo[i], hi[i], flo[i], fhi[i]
+    x = lo - flo * (hi - lo) / (fhi - flo)  # false position
+    side = np.zeros(i.size)  # Illinois: +1 when the last point replaced lo, -1 hi
+    for _ in range(_ROOT_STEPS):
+        if not i.size:
+            return roots
+        x = np.where((lo <= x) & (x <= hi), x, 0.5 * (lo + hi))
+        tol = xtol + rtol * np.abs(x)
+        # tol/2 from the ends: a root that close to one collapses the bracket
+        x = np.minimum(np.maximum(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        fx = f(x, i)
+        width = hi - lo
+        left = (fx > 0.0) == (flo > 0.0)
+        if df is None:  # Illinois: halve an end value kept for a second step
+            flo = np.where(~left & (side < 0.0), 0.5 * flo, flo)
+            fhi = np.where(left & (side > 0.0), 0.5 * fhi, fhi)
+            side = np.where(left, 1.0, -1.0)
+        lo, flo = np.where(left, x, lo), np.where(left, fx, flo)
+        hi, fhi = np.where(left, hi, x), np.where(left, fhi, fx)
+        with np.errstate(all="ignore"):  # a flat or non-finite step is bisected
+            if df is None:
+                nxt = np.where(hi - lo > 0.5 * width, np.nan, lo - flo * (hi - lo) / (fhi - flo))
+                done = (fx == 0.0) | (hi - lo < tol)
+            else:
+                nxt = x - fx / df(x, i)
+                done = (fx == 0.0) | (hi - lo < tol) | (np.abs(nxt - x) < tol)
+        if done.any():
+            roots[i[done]] = x[done]
+            go = ~done
+            i, lo, hi, flo, fhi, nxt, side = (v[go] for v in (i, lo, hi, flo, fhi, nxt, side))
+        x = nxt
+    raise RuntimeError(f"{i.size} bracketed roots not converged after {_ROOT_STEPS} steps")
+
+
+def poisson_stationary_sum(chi: Callable[[np.ndarray], np.ndarray],
                            dchi: Callable[[np.ndarray], np.ndarray],
                            window: tuple[float, float],
-                           d2chi: Callable[[float], float],
-                           d3chi: Callable[[float], float]) -> StationaryPhaseReport:
+                           d2chi: Callable[[np.ndarray], np.ndarray],
+                           d3chi: Callable[[np.ndarray], np.ndarray]) -> StationaryPhaseReport:
     """Evaluate sum over integers n in [window] of e^{i chi(n)} by Poisson
     summation and stationary phase.
 
     chi' is evaluated once, as an array, on a grid of the window.  For each
     integer l reachable by chi'/(2 pi), the stationary points
     chi'(n) = 2 pi l are the exact zeros of chi' - 2 pi l on the grid plus
-    one brentq root per sign change between neighbouring grid points; each is
-    weighted with sqrt(2 pi / |chi''|) e^{-+ i pi/4} (sign from the
-    convexity).  Where two stationary points of the same l approach within
-    2 (2/|chi'''|)^(1/3) of an inflection (a brentq root of chi''), the
-    pair is replaced by the uniform Airy contribution
+    one root per sign change between neighbouring grid points; the roots
+    of every l are refined in one :func:`bracketed_roots` call (Newton
+    steps with chi'', xtol 1e-12).  Each point is weighted with
+    sqrt(2 pi / |chi''|) e^{-+ i pi/4} (sign from the convexity).  Where
+    two stationary points of the same l approach within
+    2 (2/|chi'''|)^(1/3) of an inflection (a root of chi'', refined with
+    chi'''), the pair is replaced by the uniform Airy contribution
     2 pi (2/|a3|)^(1/3) Ai(sgn(a3) a1 (2/|a3|)^(1/3)) e^{i(chi - 2 pi n l)}
     evaluated at the inflection (a1 = chi' - 2 pi l there).  The two
     half-weight endpoint terms of the Poisson formula are added together
@@ -254,17 +313,15 @@ def poisson_stationary_sum(chi: Callable[[float], float],
 
     Parameters
     ----------
-    chi : callable
-        Phase, smooth on the window.
-    dchi : callable
-        First derivative.  It is called once on the whole sample grid (an
-        array; a constant return value is broadcast) and on scalars while
-        the roots are refined.
+    chi, dchi, d2chi, d3chi : callables
+        The phase, smooth on the window, and its first three derivatives.
+        Each is called on 1-d arrays of points and must act elementwise; a
+        constant return value is broadcast.  chi and chi'' are evaluated
+        once on the array of all stationary points and inflections.  Pass
+        closed forms for the derivatives, as chi'' and chi''' set the point
+        weights and the Airy scale.
     window : (float, float)
         Integer-inclusive summation window (-s_minus, s_plus).
-    d2chi, d3chi : callables
-        Second and third derivatives, called on scalars; pass closed
-        forms, as they set the point weights and the Airy scale.
 
     Raises
     ------
@@ -273,72 +330,75 @@ def poisson_stationary_sum(chi: Callable[[float], float],
     RuntimeError
         On a degenerate stationary point outside an Airy pair.
     """
-    # deferred: importing scipy.optimize adds about 0.25 s to the package import
-    from scipy.optimize import brentq
-
     a, b = float(window[0]), float(window[1])
     if not (b > a):
         raise ValueError("empty stationary-phase window")
-    grid = np.linspace(a, b, _SAMPLES)
-    dvals = np.broadcast_to(dchi(grid), grid.shape)
+
+    def on(fn, n):
+        return np.broadcast_to(fn(n), n.shape)
+
+    grid = np.linspace(a, b, _SAMPLES)  # hits both ends exactly
+    dvals = on(dchi, grid)
     if not np.all(np.isfinite(dvals)):
         raise ValueError("phase derivative is not finite on the window")
 
-    report = StationaryPhaseReport()
     l_lo = math.floor(dvals.min() / (2.0 * math.pi)) - 1
     l_hi = math.ceil(dvals.max() / (2.0 * math.pi)) + 1
-    for l in range(l_lo, l_hi + 1):
-        target = 2.0 * math.pi * l
-        g = dvals - target
-        found = grid[g == 0.0].tolist() + [
-            brentq(lambda n: dchi(n) - target, grid[i], grid[i + 1], xtol=1e-12)
-            for i in np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0.0)[0]]
-        pts = sorted(r for r in found if a + 1e-9 < r < b - 1e-9)
-        consumed = [False] * len(pts)
-        # pair neighbouring points across an inflection when too close
-        for i in range(len(pts) - 1):
-            if consumed[i] or consumed[i + 1]:
-                continue
-            n1, n2 = pts[i], pts[i + 1]
-            c1, c2 = d2chi(n1), d2chi(n2)
-            if c1 == 0.0 or c2 == 0.0 or (c1 > 0.0) == (c2 > 0.0):
-                continue
-            n_inf = brentq(d2chi, n1, n2, xtol=1e-12)
-            a3 = d3chi(n_inf)
-            if a3 == 0.0 or not math.isfinite(a3):
-                continue
-            scale = (2.0 / abs(a3)) ** (1.0 / 3.0)
-            if (n2 - n1) < 2.0 * scale:
-                a1c = dchi(n_inf) - target
-                phase = chi(n_inf) - target * n_inf
-                airy_arg = math.copysign(1.0, a3) * a1c * scale
-                contrib = (cmath.exp(1j * phase) * 2.0 * math.pi * scale
-                           * specfun.airy_ai(airy_arg))
-                report.coalescences.append(AiryContribution(
-                    n_inflection=n_inf, l=l, alpha1=a1c, alpha3=a3,
-                    contribution=contrib))
-                consumed[i] = consumed[i + 1] = True
-        for i, n_j in enumerate(pts):
-            if consumed[i]:
-                continue
-            curv = d2chi(n_j)
-            if curv == 0.0 or not math.isfinite(curv):
-                raise RuntimeError(f"degenerate stationary point at n={n_j}")
-            convexity = "up" if curv < 0.0 else "down"
-            phase = chi(n_j) - target * n_j
-            weight = math.sqrt(2.0 * math.pi / abs(curv))
-            corner = cmath.exp(-1j * math.pi / 4.0) if curv < 0.0 else cmath.exp(1j * math.pi / 4.0)
-            contrib = cmath.exp(1j * phase) * weight * corner
-            report.points.append(StationaryPoint(
-                n=n_j, l=l, convexity=convexity, contribution=contrib))
+    targets = 2.0 * math.pi * np.arange(l_lo, l_hi + 1)
+    sign = np.sign(dvals - targets[:, None])
+    zr, zc = np.nonzero(sign == 0.0)
+    br, bc = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
+    roots = bracketed_roots(lambda n, i: dchi(n) - targets[br[i]], grid[bc], grid[bc + 1],
+                            dvals[bc] - targets[br], dvals[bc + 1] - targets[br],
+                            df=lambda n, i: d2chi(n))
+    rows, pts = np.concatenate([zr, br]), np.concatenate([grid[zc], roots])
+    inner = (a + 1e-9 < pts) & (pts < b - 1e-9)
+    order = np.lexsort((pts[inner], rows[inner]))  # by l, then by n
+    rows, pts = rows[inner][order], pts[inner][order]
+    curv = on(d2chi, pts)
 
-    def _endpoint(n_end: float, outward: float) -> complex:
-        half = dchi(n_end) / 2.0
+    # neighbouring points of one l on either side of an inflection may
+    # form an Airy pair
+    j = np.nonzero((rows[:-1] == rows[1:]) & (np.sign(curv[:-1]) * np.sign(curv[1:]) < 0.0))[0]
+    n_inf = bracketed_roots(lambda n, i: on(d2chi, n), pts[j], pts[j + 1], curv[j], curv[j + 1],
+                            df=lambda n, i: d3chi(n))
+    chis = on(chi, np.concatenate([pts, n_inf, [a, b]]))
+    phase = chis[:-2] - targets[np.concatenate([rows, rows[j]])] * np.concatenate([pts, n_inf])
+    a1s = (on(dchi, n_inf) - targets[rows[j]]).tolist()
+
+    report = StationaryPhaseReport()
+    free = np.ones(pts.size, dtype=bool)
+    for k, (m, a3) in enumerate(zip(j.tolist(), on(d3chi, n_inf).tolist())):
+        if not (free[m] and free[m + 1]) or a3 == 0.0 or not math.isfinite(a3):
+            continue
+        scale = (2.0 / abs(a3)) ** (1.0 / 3.0)
+        if pts[m + 1] - pts[m] < 2.0 * scale:
+            airy_arg = math.copysign(1.0, a3) * a1s[k] * scale
+            contrib = (cmath.exp(1j * phase[pts.size + k]) * 2.0 * math.pi * scale
+                       * specfun.airy_ai(airy_arg))
+            report.coalescences.append(AiryContribution(
+                n_inflection=float(n_inf[k]), l=l_lo + int(rows[m]), alpha1=a1s[k], alpha3=a3,
+                contribution=contrib))
+            free[m] = free[m + 1] = False
+
+    curv, bad = curv[free], ~np.isfinite(curv[free]) | (curv[free] == 0.0)
+    if bad.any():
+        raise RuntimeError(f"degenerate stationary point at n={pts[free][bad][0]}")
+    contrib = (np.exp(1j * phase[:pts.size][free]) * np.sqrt(2.0 * math.pi / np.abs(curv))
+               * np.where(curv < 0.0, cmath.exp(-1j * math.pi / 4.0), cmath.exp(1j * math.pi / 4.0)))
+    report.points = [StationaryPoint(n=n, l=l_lo + r, convexity="up" if c < 0.0 else "down",
+                                     contribution=z)
+                     for n, r, c, z in zip(pts[free].tolist(), rows[free].tolist(),
+                                           curv.tolist(), contrib.tolist())]
+
+    def _endpoint(d_end: float, chi_end: float, outward: float) -> complex:
+        half = d_end / 2.0
         cot = math.cos(half) / math.sin(half) if math.sin(half) != 0.0 else math.inf
         cot = max(-_COT_CLAMP, min(_COT_CLAMP, cot))
-        return cmath.exp(1j * chi(n_end)) * (0.5 + outward * cot / 2j)
+        return cmath.exp(1j * chi_end) * (0.5 + outward * cot / 2j)
 
-    report.endpoints = _endpoint(b, +1.0) + _endpoint(a, -1.0)
+    (d_a, d_b), (chi_a, chi_b) = dvals[[0, -1]].tolist(), chis[-2:].tolist()
+    report.endpoints = _endpoint(d_b, chi_b, +1.0) + _endpoint(d_a, chi_a, -1.0)
     report.total = (sum(p.contribution for p in report.points)
                     + sum(c.contribution for c in report.coalescences)
                     + report.endpoints)
@@ -351,7 +411,7 @@ def poisson_stationary_sum(chi: Callable[[float], float],
 
 def _penetration_phase(phi: float, mu: float, X: float):
     """chi(n) = n phi + (|n| - |n-mu|) pi + 2 [zeta_n - xi_n] and its first
-    three n-derivatives in closed form (dchi accepts arrays).  The
+    three n-derivatives in closed form, all taking arrays.  The
     continuous (|n| - |n-mu|) pi representation of the flux phase splices
     smoothly into the WKB actions: the corner slopes at n = 0 and n = mu
     cancel exactly.  With R = X^2 + 4 mu n and W = sqrt(X^2 - (n-mu)^2),
@@ -362,21 +422,22 @@ def _penetration_phase(phi: float, mu: float, X: float):
     so chi'' vanishes at the rainbow mode n = -mu, where
     chi''' = -4 mu / (X^2 - 4 mu^2)^(3/2)."""
 
-    def chi(n: float) -> float:
-        return (n * phi + (abs(n) - abs(n - mu)) * math.pi
-                + 2.0 * (zeta_phase(n, mu, X).zeta - xi_phase(n, mu, X)))
+    def chi(n):
+        zeta, _, ok = _zeta_edge(n, mu, X)
+        _require_allowed(n, ok, mu, X)
+        return n * phi + (np.abs(n) - np.abs(n - mu)) * math.pi + 2.0 * (zeta - xi_phase(n, mu, X))
 
     def dchi(n):
         n = np.asarray(n, dtype=float)
         corners = np.where(n >= 0.0, math.pi, -math.pi) - np.where(n >= mu, math.pi, -math.pi)
         return phi + corners + 2.0 * (zeta_phase_dn(n, mu, X) - xi_phase_dn(n, mu, X))
 
-    def d2chi(n: float) -> float:
-        return -4.0 * mu * (n + mu) / ((X * X + 4.0 * mu * n) * math.sqrt(X * X - (n - mu) ** 2))
+    def d2chi(n):
+        return -4.0 * mu * (n + mu) / ((X * X + 4.0 * mu * n) * np.sqrt(X * X - (n - mu) ** 2))
 
-    def d3chi(n: float) -> float:
+    def d3chi(n):
         R, W2 = X * X + 4.0 * mu * n, X * X - (n - mu) ** 2
-        return -4.0 * mu / (R * math.sqrt(W2)) * (1.0 - (n + mu) * (4.0 * mu / R - (n - mu) / W2))
+        return -4.0 * mu / (R * np.sqrt(W2)) * (1.0 - (n + mu) * (4.0 * mu / R - (n - mu) / W2))
 
     return chi, dchi, d2chi, d3chi
 

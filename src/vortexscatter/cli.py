@@ -6,7 +6,7 @@ Subcommands
 ``curve``    sample cross sections for one scenario and write CSV
 ``sweep``    track diffraction-fringe peaks of the closed form over a
              flux grid (the flux periodicity shows as identical rows at
-             mu and mu+1)
+             mu and mu+1); the peaks of all rows are refined together
 ``compare``  exact-vs-asymptotic report with L2 summaries, the unitarity
              worst case, the diffraction/penetration interference
              residual and the spin-flip difference; nonzero exit when a
@@ -16,7 +16,7 @@ Scenario parameters come from flags or from a plain ``key=value`` file
 (one pair per line, ``#`` comments); flags override the file.  The
 impenetrable shell is spelled ``--kappa inf``.  All numeric CSV output
 uses 17 significant digits, so identical inputs give byte-identical
-files.
+files; the rows are built column-wise, one format call per cell.
 
 Exit codes: 0 success, 1 tolerance exceeded, 2 invalid input,
 3 compute failure.
@@ -30,7 +30,6 @@ import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import amplitudes as amp
 from . import asymptotics as asy
@@ -106,20 +105,19 @@ def run_scenario(scenario: Scenario) -> str:
     scale = 1.0 / params.X if scenario.rescale_rc else 1.0
 
     lines = [_CSV_HEADER]
+    phis = [_fmt(phi) for phi in grid.tolist()]
     table = mode_table(params) if amp.EXACT in scenario.methods else None
     for method in scenario.methods:
         curve = amp.cross_section_curve(params, grid, method, table)
+        values = (curve.value * scale).tolist()
         if method == amp.EXACT:
-            ex = curve.extras
-            for i, phi in enumerate(curve.phi):
-                cells = [_fmt(phi), method, _fmt(curve.value[i] * scale)]
-                for a in (ex["f1"][i], ex["f2"][i], ex["f3"][i], ex["f_ab"][i]):
-                    cells += [_fmt(a.real), _fmt(a.imag)]
-                lines.append(",".join(cells))
+            amps = (curve.extras[k].tolist() for k in ("f1", "f2", "f3", "f_ab"))
+            lines += [f"{phi},{method},{v:.17g},{f1.real:.17g},{f1.imag:.17g},"
+                      f"{f2.real:.17g},{f2.imag:.17g},{f3.real:.17g},{f3.imag:.17g},"
+                      f"{fab.real:.17g},{fab.imag:.17g}"
+                      for phi, v, f1, f2, f3, fab in zip(phis, values, *amps)]
         else:
-            for i, phi in enumerate(curve.phi):
-                lines.append(",".join(
-                    [_fmt(phi), method, _fmt(curve.value[i] * scale)] + [""] * 8))
+            lines += [f"{phi},{method},{v:.17g},,,,,,,," for phi, v in zip(phis, values)]
     with open(scenario.output_path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return scenario.output_path
@@ -129,26 +127,44 @@ def run_scenario(scenario: Scenario) -> str:
 # fringe sweep
 # ---------------------------------------------------------------------------
 
-def _fringe_peaks(mu: float, X: float) -> list[tuple[float, float]]:
+def _fringe_peaks(mu_grid, X: float) -> list[list[tuple[float, float]]]:
     """Peaks of the closed-form diffraction pattern within the central
-    lobe |phi| <= 2 pi / X, located as roots of the analytic derivative
-    (root-finding keeps peak positions reproducible to ~1e-14, which a
-    value-based maximiser cannot do).
+    lobe |phi| <= 2 pi / X at each flux of ``mu_grid``, located as roots
+    of the analytic derivative (root-finding keeps peak positions
+    reproducible to ~1e-14, which a value-based maximiser cannot do).
+    All fluxes share one derivative grid and one root call.
 
     The pattern is exactly periodic in the flux with period 1, so mu is
     reduced mod 1 first; rows at mu and mu+1 then come out bit-identical
-    whenever the reduced fluxes are the same float.
+    whenever the reduced fluxes are the same float.  Up to two dominant
+    peaks are reported per row, left to right; peaks whose heights agree
+    within 1e-12 relative (the mirror-image side lobes at integer mu,
+    which differ by roundoff alone) rank by the smaller phi.
     """
-    mu = mu - math.floor(mu)
-    lo, hi = -2.0 * math.pi / X, 2.0 * math.pi / X
-    grid = np.linspace(lo, hi, 801)
-    dvals = asy.fraunhofer_cs_dphi(grid, mu, X)
-    roots = [brentq(lambda p: asy.fraunhofer_cs_dphi(p, mu, X),
-                    grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
-             for i in np.nonzero((dvals[:-1] > 0.0) & (dvals[1:] <= 0.0))[0]]  # maximum brackets
-    peaks = sorted(zip(roots, asy.fraunhofer_cs(np.array(roots), mu, X).tolist()),
-                   key=lambda t: -t[1])
-    return sorted(peaks[:2])  # up to two dominant peaks, reported left to right
+    mu = np.asarray(mu_grid, dtype=float)
+    mu = mu - np.floor(mu)
+    grid = np.linspace(-2.0 * math.pi / X, 2.0 * math.pi / X, 801)
+    dvals = asy.fraunhofer_cs_dphi(grid, mu[:, None], X)
+    rows, cols = np.nonzero((dvals[:, :-1] > 0.0) & (dvals[:, 1:] <= 0.0))  # maximum brackets
+    roots = asy.bracketed_roots(lambda p, i: asy.fraunhofer_cs_dphi(p, mu[rows[i]], X),
+                                grid[cols], grid[cols + 1], dvals[rows, cols],
+                                dvals[rows, cols + 1], xtol=1e-15, rtol=8.9e-16)
+    values = asy.fraunhofer_cs(roots, mu[rows], X)
+    peaks = [[] for _ in mu]
+    for row, phi, value in zip(rows.tolist(), roots.tolist(), values.tolist()):
+        peaks[row].append((phi, value))
+    return [_dominant(row) for row in peaks]
+
+
+def _dominant(peaks: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """The two highest of the (phi, value) peaks, listed by increasing phi;
+    of heights within 1e-12 relative the one at smaller phi ranks first."""
+    ranked = []
+    while peaks and len(ranked) < 2:
+        top = max(v for _, v in peaks)
+        ranked.append(next(p for p in peaks if p[1] >= (1.0 - 1e-12) * top))
+        peaks = [p for p in peaks if p is not ranked[-1]]
+    return sorted(ranked)
 
 
 def fringe_sweep(base: VortexParams, mu_grid, output_path: str) -> str:
@@ -165,8 +181,8 @@ def fringe_sweep(base: VortexParams, mu_grid, output_path: str) -> str:
     if not mu_grid or any(not (0.0 <= m <= 3.0) for m in mu_grid):
         raise ValueError("flux sweep grid must be non-empty and lie in [0, 3]")
     lines = ["mu,peak_phi_1,peak_value_1,peak_phi_2,peak_value_2"]
-    for mu in mu_grid:
-        cells = [_fmt(mu)] + [_fmt(v) for peak in _fringe_peaks(mu, base.X) for v in peak]
+    for mu, peaks in zip(mu_grid, _fringe_peaks(mu_grid, base.X)):
+        cells = [_fmt(mu)] + [_fmt(v) for peak in peaks for v in peak]
         lines.append(",".join(cells + [""] * (5 - len(cells))))
     with open(output_path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -235,6 +251,8 @@ def compare_report(scenario: Scenario, max_l2: float | None = None,
         / max(np.linalg.norm(exact.value), 1e-300))
 
     lines = ["phi,method,exact,asymptotic,rel_diff"]
+    phis = [_fmt(phi) for phi in grid.tolist()]
+    exact_cells = [_fmt(v) for v in exact.value.tolist()]
     for method in methods:
         curve = amp.cross_section_curve(params, grid, method, table)
         floor = 1e-12 * max(float(np.max(exact.value)), 1e-300)
@@ -242,9 +260,8 @@ def compare_report(scenario: Scenario, max_l2: float | None = None,
         l2 = float(np.linalg.norm(curve.value - exact.value)
                    / max(np.linalg.norm(exact.value), 1e-300))
         report.l2[method] = l2
-        for i, phi in enumerate(grid):
-            lines.append(",".join([_fmt(phi), method, _fmt(exact.value[i]),
-                                   _fmt(curve.value[i]), _fmt(rel[i])]))
+        lines += [f"{phi},{method},{e},{v:.17g},{r:.17g}" for phi, e, v, r
+                  in zip(phis, exact_cells, curve.value.tolist(), rel.tolist())]
         if max_l2 is not None and l2 > max_l2:
             report.failures.append(f"rel L2 for {method} = {l2:.3g} > {max_l2:g}")
     if max_unitarity is not None and report.unitarity_worst > max_unitarity:

@@ -390,7 +390,7 @@ _TAIL_EPS = 1e-14
 _DEGENERATE_FLOOR = 1e-300
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=8)  # a compare run needs 2 tables; ops share no others
 def mode_table(params: VortexParams) -> ModeTable:
     """Match every mode of the window around round(mu) in one vectorised
     pass.
@@ -402,7 +402,8 @@ def mode_table(params: VortexParams) -> ModeTable:
     irregular member overflows double precision sits so deep under the
     barrier that its coupling is exactly zero.  For kappa = +-inf the
     Dirichlet limit is taken exactly: the interior drops out of c_n and
-    s_n, and b_ratio is 0.  The table is cached and deterministic.
+    s_n, and b_ratio is 0.  The table is deterministic, and the last 8
+    tables are cached.
 
     Raises
     ------

@@ -374,6 +374,91 @@ def test_penetration_phase_derivatives_match_differences(X, mu):
 
 
 # ---------------------------------------------------------------------------
+# bracketed roots
+# ---------------------------------------------------------------------------
+
+def grid_brackets(f, lo, hi, samples):
+    """Sign-change brackets of f on a grid, as bracketed_roots takes them."""
+    grid = np.linspace(lo, hi, samples)
+    v = f(grid)
+    k = np.nonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0.0)[0]
+    return grid[k], grid[k + 1], v[k], v[k + 1]
+
+
+def penetration_brackets(X, mu, phi):
+    """The engine's brackets of chi' - 2 pi l for every l, with their targets."""
+    _, dchi, d2chi, _ = asy._penetration_phase(phi, mu, X)
+    window = penetration_window(mu, X)
+    d = dchi(np.linspace(*window, 2048))
+    out = []
+    for l in range(math.floor(d.min() / (2 * math.pi)) - 1, math.ceil(d.max() / (2 * math.pi)) + 2):
+        t = 2 * math.pi * l
+        out += [(t, *br) for br in zip(*grid_brackets(lambda n: dchi(n) - t, *window, 2048))]
+    assert out
+    return dchi, d2chi, [np.array(c) for c in zip(*out)]
+
+
+@pytest.mark.parametrize("X, mu, phi", [(30.0, -2.634, 0.331), (100.0, 10.0, -0.3),
+                                        (480.0, 100.37, -0.5)])
+def test_bracketed_roots_match_brentq_on_penetration_phase(X, mu, phi):
+    dchi, d2chi, (t, a, b, fa, fb) = penetration_brackets(X, mu, phi)
+    roots = asy.bracketed_roots(lambda n, i: dchi(n) - t[i], a, b, fa, fb,
+                                df=lambda n, i: d2chi(n))
+    for r, tk, ak, bk in zip(roots, t, a, b):
+        ref = brentq(lambda n: float(dchi(n)) - tk, ak, bk, xtol=1e-12)
+        assert abs(r - ref) <= 2e-12  # both lie within their 1e-12 of the root
+    # each root alone carries the same bits as in the batch
+    for k in range(len(roots)):
+        alone = asy.bracketed_roots(lambda n, i: dchi(n) - t[k], a[k], b[k], fa[k], fb[k],
+                                    df=lambda n, i: d2chi(n))
+        assert alone[0] == roots[k]
+
+
+@pytest.mark.parametrize("mu, X", [(0.3, 60.0), (0.5, 100.0), (0.77, 480.0)])
+def test_bracketed_roots_match_brentq_on_fringe_peaks(mu, X):
+    a, b, fa, fb = grid_brackets(lambda p: fraunhofer_cs_dphi(p, mu, X),
+                                 -2 * math.pi / X, 2 * math.pi / X, 801)
+    roots = asy.bracketed_roots(lambda p, i: fraunhofer_cs_dphi(p, mu, X), a, b, fa, fb,
+                                xtol=1e-15, rtol=8.9e-16)
+    assert len(roots) >= 2
+    for r, ak, bk in zip(roots, a, b):
+        ref = brentq(lambda p: fraunhofer_cs_dphi(p, mu, X), ak, bk, xtol=1e-15, rtol=8.9e-16)
+        assert abs(r - ref) <= 4e-15
+
+
+def test_bracketed_roots_exact_zero_at_an_end():
+    never = lambda x, i: pytest.fail("the ends must not be evaluated again")
+    roots = asy.bracketed_roots(never, [0.0, 1.0], [1.0, 3.0], [-1.0, 0.0], [0.0, 2.0])
+    assert roots.tolist() == [1.0, 1.0]
+    assert brentq(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
+
+def test_bracketed_roots_illinois_does_not_stall_where_regula_falsi_does():
+    # strongly convex: plain false position keeps the right end for ever,
+    # and after 1e5 steps its bracket is still 0.2 wide
+    f = lambda x: x ** 20 - 0.01
+    calls = []
+
+    def counted(x, i):
+        calls.append(x.size)
+        return f(x)
+
+    root = asy.bracketed_roots(counted, 0.0, 1.0, f(0.0), f(1.0), xtol=1e-14)[0]
+    assert abs(root - brentq(f, 0.0, 1.0, xtol=1e-14)) <= 2e-14
+    assert len(calls) <= 40
+
+
+def test_bracketed_roots_refuses_bad_brackets_and_reports_no_convergence():
+    f = lambda x, i: x * x - 2.0
+    with pytest.raises(ValueError):
+        asy.bracketed_roots(f, 1.5, 2.0, 0.25, 2.0)
+    for df in (None, lambda x, i: 2.0 * x):
+        # sqrt(2) is no float, so with no tolerance no step ever converges
+        with pytest.raises(RuntimeError):
+            asy.bracketed_roots(f, 1.0, 2.0, -1.0, 2.0, df=df, xtol=0.0, rtol=0.0)
+
+
+# ---------------------------------------------------------------------------
 # penetration amplitude from phases
 # ---------------------------------------------------------------------------
 

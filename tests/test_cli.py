@@ -2,10 +2,15 @@
 exit codes, regime warnings."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vortexscatter
+from vortexscatter import asymptotics as asy
 from vortexscatter import cli
 from vortexscatter.radial import VortexParams
 
@@ -141,6 +146,35 @@ def test_sweep_reports_a_failed_peak_search(tmp_path, monkeypatch):
     out = tmp_path / "fr.csv"
     assert run(["sweep", "--kr-c", "100", "--out", str(out)]) == cli.EXIT_INVALID
     assert not out.exists()
+
+
+@pytest.mark.parametrize("X", [30.0, 100.0, 480.0])
+def test_sweep_breaks_mirror_ties_by_the_smaller_phi(X):
+    # at integer mu the first side lobes are mirror images whose heights
+    # differ by roundoff alone; the left one is reported with the forward peak
+    for (p1, v1), (p2, v2) in cli._fringe_peaks([0.0, 1.0, 2.0, 3.0], X):
+        assert p1 < 0.0 and p2 == pytest.approx(0.0, abs=1e-12) and v2 > v1
+        assert asy.fraunhofer_cs(-p1, 0.0, X) == pytest.approx(v1, rel=1e-12)
+    # whichever mirror lobe roundoff makes higher
+    v = asy.fraunhofer_cs(0.15, 0.0, X)
+    for left, right in ((v, v * (1.0 + 4e-16)), (v * (1.0 + 4e-16), v)):
+        assert cli._dominant([(-0.15, left), (0.0, 2.0 * v), (0.15, right)])[0] == (-0.15, left)
+
+
+def test_sweep_rows_do_not_depend_on_the_other_rows():
+    mu_grid = np.linspace(0.0, 3.0, 25)
+    together = cli._fringe_peaks(mu_grid, 100.0)
+    assert [cli._fringe_peaks([mu], 100.0)[0] for mu in mu_grid] == together
+
+
+def test_package_import_leaves_scipy_optimize_out():
+    # importing scipy.optimize costs every process about 0.3 s and 20 MB
+    src = Path(vortexscatter.__file__).parent
+    code = "import sys, vortexscatter, vortexscatter.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=src.parent, timeout=60)
+    assert out.stdout.strip() == "False"
+    assert [p.name for p in src.glob("*.py") if "brentq" in p.read_text()] == []
 
 
 def test_sweep_half_quantum_forward_minimum(tmp_path):

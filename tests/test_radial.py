@@ -279,6 +279,13 @@ def test_mode_table_determinism_and_coverage():
     assert all(a.c_n == b.c_n for a, b in zip(t1, t2))
 
 
+def test_mode_table_cache_is_bounded():
+    # a long-running process must not keep every table it ever built
+    for k in range(20):
+        mode_table(VortexParams(X=10.0, mu=0.05 + 0.1 * k, kappa=math.inf))
+    assert mode_table.cache_info().currsize <= 8
+
+
 def test_mode_table_far_tail_truncated():
     p = VortexParams(X=20.0, mu=0.3, kappa=1.0)
     tab = mode_table(p)
