@@ -18,10 +18,11 @@ The scattered wave splits into four pieces:
           with nu > X.
 
 Only f2 and f3 know about the interior field profile and the shell
-strength; f_ab and f1 depend on the flux alone.  In the free case the
-near-mode combination sum P_n (1 + c_n) cancels identically, so the
-scattered amplitude is accumulated in exactly that form and split into
-f1 and f2 afterwards.
+strength; f_ab and f1 depend on the flux alone.  In the free case
+c_n = -1 on the near modes and f2 cancels f1.  f2 is still summed from
+its own weights P_n c_n, not taken as the difference of
+sum P_n (1 + c_n) and f1: in the forward peak |f1| ~ X lies far above
+|f2|, and the difference would lose f2's leading digits.
 
 Each mode sum factors its phases baby-step giant-step,
 e^{i n phi} = e^{i (n0 + B a) phi} e^{i b phi} with B ~ sqrt(K) for K
@@ -138,9 +139,7 @@ def f1_sum(phi, params: VortexParams):
 def fc_sums(phi, params: VortexParams, table: ModeTable | None = None):
     """Penetration and far-mode amplitudes (f2, f3) from a mode table.
 
-    f2 is reported as the difference between the combined near-mode
-    scattered amplitude sum P_n (1 + c_n) and f1, which cancels exactly in
-    the free case.  f3 sums the far-mode coefficients.
+    f2 sums the near-mode coefficients P_n c_n, f3 the far-mode ones.
 
     Parameters
     ----------
@@ -172,9 +171,8 @@ def _table_sums(phi, params: VortexParams, table: ModeTable | None):
     p = np.asarray(flux_phase(n, params.mu))
 
     f1 = _mode_sum(phi, n[near], p[near])
-    combined, f3 = _mode_sum(phi, n, [np.where(near, p * (1.0 + c), 0.0),
-                                      np.where(near, 0.0, p * c)])
-    return f1, combined - f1, f3
+    f2, f3 = _mode_sum(phi, n, [np.where(near, p * c, 0.0), np.where(near, 0.0, p * c)])
+    return f1, f2, f3
 
 
 # ---------------------------------------------------------------------------

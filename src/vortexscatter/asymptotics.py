@@ -11,7 +11,21 @@ Contents
   with the closed evaluation of both for the uniform profile
   gamma(u) = mu u^2/X^2 (the spin correction is dropped here, consistent
   with the flux regime |mu| << X^2/2; the exact solver keeps it, and the
-  difference is itself a measured quantity in the tests).
+  difference is itself a measured quantity in the tests),
+
+      xi_n   = W - |n - mu| a0,
+      zeta_n = W/2 + (X^2 + 2 mu n)/(4|mu|) a1 - (|n|/2) a2,
+      W = sqrt(X^2 - (n - mu)^2),
+
+  and their n-derivatives, all linear in three edge angles.  Each angle
+  is an arccos whose argument nears +-1 (by 1 - O(mu^2) for a1 at small
+  flux), so it is taken in atan2 form (DLMF 4.23), with nu = n - mu:
+
+      a0 = atan2(W, |nu|),
+      a1 = atan2(2|mu| W, X^2 + 2 mu nu),
+      a2 = atan2(2|n| W, 2 nu n - X^2);
+
+  nothing cancels and no argument is clamped.
 * The classical deflection function 2 d/dn [xi - zeta] and its extremum
   (the rainbow angle -sgn(mu) 2 arcsin(2|mu|/X)).
 * A Poisson-summation / stationary-phase evaluator for oscillatory mode
@@ -42,16 +56,7 @@ import numpy as np
 from . import specfun
 from .radial import near_mode_range
 
-_CLAMP_TOL = 1e-12
-
-
-def _clamped_acos(t):
-    """arccos with the argument clamped to [-1, 1] within 1e-12; values
-    further out are a usage error, not roundoff.  Accepts arrays."""
-    t = np.asarray(t, dtype=float)
-    if (np.abs(t) > 1.0 + _CLAMP_TOL).any():
-        raise ValueError(f"arccos argument {np.abs(t).max()} beyond domain tolerance")
-    return np.arccos(t.clip(-1.0, 1.0))
+_EDGE_TOL = 1e-12  # relative roundoff slack of the edge tests |n - mu| <= X and y0 <= X
 
 
 # ---------------------------------------------------------------------------
@@ -62,12 +67,30 @@ class ForbiddenModeError(ValueError):
     """The mode has no classical region reaching the vortex edge."""
 
 
-def _check_order(n, mu: float, X: float) -> np.ndarray:
-    """nu = |n - mu|, clamped to X within the domain tolerance."""
-    nu = np.abs(np.asarray(n, dtype=float) - mu)
-    if (nu > X * (1.0 + _CLAMP_TOL)).any():
-        raise ValueError(f"mode order nu={nu.max()} exceeds the radius X={X}")
-    return np.minimum(nu, X)
+def _edge_angles(n, mu: float, X: float):
+    """The edge angles of the closed WKB phases (module docstring), for
+    arrays of n.
+
+    Returns n as a float array, W = sqrt(X^2 - nu^2) with nu = n - mu, the
+    mask of the modes that reach the edge (|nu| <= X within 1e-12 and
+    X^2 + 4 mu n > 0; elsewhere the values are placeholders), and the
+    angles a0, a1, a2.  With s = sqrt(X^2 + 4 mu n), a1 and a2 are
+    arccos((X^2 + 2 mu nu)/(X s)) and arccos((2 nu n - X^2)/(X s)), since
+    (X s)^2 - (X^2 + 2 mu nu)^2 = 4 mu^2 W^2 and
+    (X s)^2 - (2 nu n - X^2)^2 = 4 n^2 W^2.
+    """
+    n = np.asarray(n, dtype=float)
+    nu = n - mu
+    W = np.sqrt(np.maximum(X * X - nu * nu, 0.0))
+    ok = (np.abs(nu) <= X * (1.0 + _EDGE_TOL)) & (X * X + 4.0 * mu * n > 0.0)
+    return (n, W, ok, np.arctan2(W, np.abs(nu)),
+            np.arctan2(2.0 * abs(mu) * W, X * X + 2.0 * mu * nu),
+            np.arctan2(2.0 * np.abs(n) * W, 2.0 * nu * n - X * X))
+
+
+def _require_allowed(n: np.ndarray, ok: np.ndarray, mu: float, X: float) -> None:
+    if not ok.all():
+        raise ForbiddenModeError(f"mode n={n[~ok][0]}: no classical path to the edge (mu={mu}, X={X})")
 
 
 def xi_phase(n, mu: float, X: float):
@@ -79,41 +102,20 @@ def xi_phase(n, mu: float, X: float):
     ValueError
         If nu > X (turning point outside the vortex).
     """
-    nu = _check_order(n, mu, X)
-    return np.sqrt(np.maximum(X * X - nu * nu, 0.0)) - nu * _clamped_acos(nu / X)
+    n, W, _, a0, _, _ = _edge_angles(n, mu, X)
+    nu = np.abs(n - mu)
+    if (nu > X * (1.0 + _EDGE_TOL)).any():
+        raise ValueError(f"mode order nu={nu.max()} exceeds the radius X={X}")
+    return W - nu * a0
 
 
-def xi_phase_dn(n, mu: float, X: float):
-    """Analytic d(xi)/dn = -sgn(n - mu) arccos(nu/X); accepts arrays."""
-    nu = _check_order(n, mu, X)
-    return -np.where(np.asarray(n) >= mu, 1.0, -1.0) * _clamped_acos(nu / X)
-
-
-def _require_allowed(n, ok, mu: float, X: float) -> None:
-    if not ok.all():
-        bad = np.asarray(n, dtype=float)[~np.asarray(ok)][0]
-        raise ForbiddenModeError(f"mode n={bad}: no classical path to the edge (mu={mu}, X={X})")
-
-
-def _zeta_edge(n, mu: float, X: float):
-    """Closed inside phase of the uniform profile at the edge, its
-    n-derivative (1/2) sgn(mu) arccos(t1) - (1/2) sgn(n) arccos(t2), and the
-    mask of the modes that reach the edge (elsewhere both values are
-    placeholders); accepts arrays."""
-    n = np.asarray(n, dtype=float)
-    nu = n - mu
-    s = np.sqrt(np.maximum(X * X + 4.0 * mu * n, 0.0))
-    xs = X * np.where(s > 0.0, s, 1.0)
-    t1 = (X * X + 2.0 * mu * nu) / xs
-    t2 = (-X * X + 2.0 * nu * n) / xs
-    ok = ((s > 0.0) & (np.abs(nu) <= X * (1.0 + _CLAMP_TOL))
-          & (np.abs(t1) <= 1.0 + _CLAMP_TOL) & (np.abs(t2) <= 1.0 + _CLAMP_TOL))
-    a1, a2 = _clamped_acos(np.where(ok, t1, 1.0)), _clamped_acos(np.where(ok, t2, 1.0))
-    zeta = (0.5 * np.sqrt(np.maximum(X * X - nu * nu, 0.0))
-            + (X * X + 2.0 * mu * n) / (4.0 * abs(mu)) * a1
-            - 0.5 * np.abs(n) * a2)
-    sm = 1.0 if mu >= 0.0 else -1.0
-    return zeta, 0.5 * sm * a1 - 0.5 * np.where(n >= 0.0, 1.0, -1.0) * a2, ok
+def _wkb_phases(n, mu: float, X: float):
+    """n as a float array, the edge mask of :func:`_edge_angles`, and the
+    inside and outside phases zeta_n and xi_n (placeholders off the mask);
+    mu != 0."""
+    n, W, ok, a0, a1, a2 = _edge_angles(n, mu, X)
+    zeta = 0.5 * W + (X * X + 2.0 * mu * n) / (4.0 * abs(mu)) * a1 - 0.5 * np.abs(n) * a2
+    return n, ok, zeta, W - np.abs(n - mu) * a0
 
 
 def turning_point(n: float, mu: float, X: float) -> float:
@@ -121,20 +123,18 @@ def turning_point(n: float, mu: float, X: float) -> float:
     below the edge, or 0 when the classical region extends to the axis."""
     if mu == 0.0:
         return abs(n)
-    roots = []
+    # the zeros solve a y^2 +- y - n = 0; both branches share the
+    # discriminant, and the product-of-roots form q/a, -n/q of each does
+    # not cancel however small a is
     a = mu / (X * X)
+    disc = 1.0 + 4.0 * a * n
+    if disc < 0.0:
+        return 0.0
+    roots = []
     for sgn in (+1.0, -1.0):
-        # branch: a y^2 + sgn*y - n = 0
-        disc = sgn * sgn - 4.0 * a * (-n)
-        if disc < 0.0:
-            continue
-        sq = math.sqrt(disc)
-        for r in ((-sgn + sq) / (2.0 * a), (-sgn - sq) / (2.0 * a)):
-            if 0.0 < r <= X * (1.0 + 1e-12):
-                g = mu * r * r / (X * X)
-                if abs(r * r - (n - g) ** 2) <= 1e-7 * max(r * r, 1.0):
-                    roots.append(min(r, X))
-    return max(roots) if roots else 0.0
+        q = -0.5 * sgn * (1.0 + math.sqrt(disc))
+        roots += [q / a, -n / q]
+    return max((min(r, X) for r in roots if 0.0 < r <= X * (1.0 + _EDGE_TOL)), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -161,29 +161,27 @@ def zeta_phase(n: float, mu: float, X: float) -> WKBPhase:
     """
     if mu == 0.0:
         raise ValueError("zeta_phase needs mu != 0; use xi_phase for the free field")
-    zeta, _, ok = _zeta_edge(n, mu, X)
+    n, ok, zeta, xi = _wkb_phases(n, mu, X)
     _require_allowed(n, ok, mu, X)
-    return WKBPhase(xi=float(xi_phase(n, mu, X)), zeta=float(zeta), y0=turning_point(n, mu, X))
-
-
-def zeta_phase_dn(n, mu: float, X: float):
-    """Analytic d(zeta)/dn for the uniform profile; accepts arrays."""
-    _, dzeta, ok = _zeta_edge(n, mu, X)
-    _require_allowed(n, ok, mu, X)
-    return dzeta
+    return WKBPhase(xi=float(xi), zeta=float(zeta), y0=turning_point(float(n), mu, X))
 
 
 def deflection(n: float, mu: float, X: float) -> float:
-    """Classical scattering angle of mode n: 2 d/dn [xi - zeta].
+    """Classical scattering angle of mode n: 2 d/dn [xi - zeta], with
+    d(xi)/dn = -sgn(n - mu) a0 and d(zeta)/dn = (sgn(mu) a1 - sgn(n) a2)/2
+    (the angles of the module docstring); accepts arrays.
 
     Zero everywhere for mu = 0; for 2|mu| <= X it has a single extremum
     -sgn(mu) 2 arcsin(2|mu|/X) at the rainbow mode, while for 2|mu| > X it
     is monotone over the allowed window.
     """
     if mu == 0.0:
-        _check_order(n, mu, X)  # same domain error as xi_phase_dn for mu != 0
+        xi_phase(n, mu, X)  # the same domain error as for mu != 0
         return 0.0
-    return 2.0 * (xi_phase_dn(n, mu, X) - zeta_phase_dn(n, mu, X))
+    n, _, ok, a0, a1, a2 = _edge_angles(n, mu, X)
+    _require_allowed(n, ok, mu, X)
+    return (np.where(n >= 0.0, a2, -a2) - math.copysign(1.0, mu) * a1
+            - 2.0 * np.where(n >= mu, a0, -a0))
 
 
 def rainbow_angle(mu: float, X: float) -> float:
@@ -423,14 +421,14 @@ def _penetration_phase(phi: float, mu: float, X: float):
     chi''' = -4 mu / (X^2 - 4 mu^2)^(3/2)."""
 
     def chi(n):
-        zeta, _, ok = _zeta_edge(n, mu, X)
+        n, ok, zeta, xi = _wkb_phases(n, mu, X)
         _require_allowed(n, ok, mu, X)
-        return n * phi + (np.abs(n) - np.abs(n - mu)) * math.pi + 2.0 * (zeta - xi_phase(n, mu, X))
+        return n * phi + (np.abs(n) - np.abs(n - mu)) * math.pi + 2.0 * (zeta - xi)
 
     def dchi(n):
         n = np.asarray(n, dtype=float)
         corners = np.where(n >= 0.0, math.pi, -math.pi) - np.where(n >= mu, math.pi, -math.pi)
-        return phi + corners + 2.0 * (zeta_phase_dn(n, mu, X) - xi_phase_dn(n, mu, X))
+        return phi + corners - deflection(n, mu, X)
 
     def d2chi(n):
         return -4.0 * mu * (n + mu) / ((X * X + 4.0 * mu * n) * np.sqrt(X * X - (n - mu) ** 2))
@@ -445,11 +443,10 @@ def _penetration_phase(phi: float, mu: float, X: float):
 def _direct_phase_terms(mu: float, X: float, lo: int, hi: int) -> tuple[list, list, list]:
     """Angle-independent phase terms n, mu sgn(n-mu) pi and 2 (zeta_n - xi_n)
     of the classically allowed modes in [lo, hi], as lists in index order."""
-    n = np.arange(lo, hi + 1, dtype=float)
-    zeta, _, ok = _zeta_edge(n, mu, X)
-    n, zeta = n[ok], zeta[ok]
+    n, ok, zeta, xi = _wkb_phases(np.arange(lo, hi + 1), mu, X)
+    n, wkb = n[ok], 2.0 * (zeta[ok] - xi[ok])
     flux = mu * np.where(n >= mu, 1.0, -1.0) * math.pi
-    return n.tolist(), flux.tolist(), (2.0 * (zeta - xi_phase(n, mu, X))).tolist()
+    return n.tolist(), flux.tolist(), wkb.tolist()
 
 
 def f2_asymptotic(phi: float, mu: float, X: float, mode: str = "direct") -> complex:

@@ -162,6 +162,19 @@ def test_mode_sums_match_fsum_oracle_across_block_edges(X, mu, kappa):
         assert np.abs(got - ref).max() <= 1e-13 * peak, len(g)
 
 
+@pytest.mark.parametrize("kappa", [0.0, math.inf])
+def test_f2_forward_sum_matches_fsum_oracle(kappa):
+    # in the forward peak |f1| ~ X is far above |f2|: f2 is summed from
+    # P_n c_n itself, not as sum P_n (1 + c_n) - f1, which lost up to
+    # 3.4e-13 of f2 here
+    p = VortexParams(X=480.0, mu=40.7, kappa=kappa)
+    tab = mode_table(p)
+    g = np.array([-1e-3, 1e-3])
+    ref = _fsum_amplitudes(g, p, tab)[1]
+    f2 = amp._table_sums(g, p, tab)[1]
+    assert (np.abs(f2 - ref) <= 1e-14 * np.abs(ref)).all()
+
+
 def _fsum_mode_sum(phi, ns, weights):
     """(i/sqrt(2 pi)) sum_n weights_n e^{i n phi} at each angle, a math.fsum
     of the mode terms."""

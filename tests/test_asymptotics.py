@@ -5,6 +5,7 @@ import cmath
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -130,6 +131,51 @@ def test_zeta_forbidden_mode():
         zeta_phase(40.0, 2.0, 30.0)  # nu > X
     with pytest.raises(ValueError):
         zeta_phase(3, 0.0, 30.0)
+
+
+def mp_wkb_phases(n, mu, X):
+    """zeta_n and xi_n from their arccos forms in mpmath at the working
+    precision, for the exact values of the float inputs."""
+    n, mu, X = mpmath.mpf(n), mpmath.mpf(mu), mpmath.mpf(X)
+    nu = n - mu
+    W = mpmath.sqrt(X * X - nu * nu)
+    xs = X * mpmath.sqrt(X * X + 4 * mu * n)
+    zeta = (W / 2 + (X * X + 2 * mu * n) / (4 * abs(mu)) * mpmath.acos((X * X + 2 * mu * nu) / xs)
+            - abs(n) / 2 * mpmath.acos((2 * nu * n - X * X) / xs))
+    return zeta, W - abs(nu) * mpmath.acos(abs(nu) / X)
+
+
+@pytest.mark.parametrize("X", [30.0, 100.0, 480.0])
+def test_wkb_phases_match_mpmath_at_every_flux(X):
+    # the closed phases hold to a few ulp of X from the tiny-flux limit,
+    # where t1 = 1 - O(mu^2) and the old arccos(t1) form lost up to 86 rad,
+    # to the strong field 2|mu| = 2X, on modes across the window and at its edges
+    worst = 0.0
+    with mpmath.workdps(50):
+        for mu in [s * m for m in (1e-5, 1e-3, 0.1, X / 4, X) for s in (1.0, -1.0)]:
+            lo, hi = near_mode_range(mu, X)
+            for n in sorted({lo, hi, round(mu), 0, *np.linspace(lo, hi, 9).round()}):
+                if not lo <= n <= hi or X * X + 4.0 * mu * n <= 0.0:
+                    continue
+                ph = zeta_phase(float(n), mu, X)
+                zeta, xi = mp_wkb_phases(n, mu, X)
+                worst = max(worst, abs(ph.zeta - float(zeta)), abs(ph.xi - float(xi)))
+    assert worst <= 2e-13
+
+
+@pytest.mark.parametrize("mu", [1e-6, 1e-8])
+@pytest.mark.parametrize("n", [100.0, -100.0, 3.0])
+def test_turning_point_small_flux_matches_mpmath_roots(mu, n):
+    # a y^2 +- y - n = 0 with a = mu/X^2 ~ 1e-12: in double precision the
+    # textbook root near |n| cancels and was dropped as spurious; at 50
+    # digits it keeps more than 30 correct
+    X = 480.0
+    with mpmath.workdps(50):
+        a = mpmath.mpf(mu) / X ** 2
+        sq = mpmath.sqrt(1 + 4 * a * n)
+        roots = [(-sgn + r) / (2 * a) for sgn in (1, -1) for r in (sq, -sq)]
+        y0 = float(max(r for r in roots if 0 < r <= X))
+    assert turning_point(n, mu, X) == pytest.approx(y0, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +419,16 @@ def test_penetration_phase_derivatives_match_differences(X, mu):
     assert checked >= 8
 
 
+def test_penetration_phase_has_no_roundoff_floor():
+    # at a stationary point of this small-flux case chi used to jump by
+    # 1.1e-9 over a step of 1e-10, as arccos magnified one ulp of
+    # t1 = 1 - 2.1e-6 about 480-fold (NOTES.md); the step must follow chi'
+    X, mu, phi, n, h = 480.0, 3.398, -0.00413, -471.61, 1e-10
+    chi, dchi, _, _ = asy._penetration_phase(phi, mu, X)
+    jump = np.diff(chi(np.array([n, n + h])))[0]
+    assert abs(jump - float(dchi(n)) * h) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # bracketed roots
 # ---------------------------------------------------------------------------
@@ -494,6 +550,23 @@ def test_f2_direct_phases_cached_bit_for_bit():
     for mu, X in ((10.0, 100.0), (-3.7, 40.0), (60.0, 50.0)):
         for phi in (-2.5, -0.3, 0.01, 1.7):
             assert f2_asymptotic(phi, mu, X, "direct") == f2_direct_per_angle(phi, mu, X)
+
+
+@pytest.mark.parametrize("phi", [-0.3, 0.01])
+def test_f2_direct_small_flux_matches_mpmath_sum(phi):
+    # mu = 1e-3 at X = 480, where arccos phases put f2 off by 19% at
+    # phi = -0.3: the direct sum of 961 unit terms against the same sum
+    # with every phase and exponential at 40 digits
+    X, mu = 480.0, 1e-3
+    lo, hi = near_mode_range(mu, X)
+    with mpmath.workdps(40):
+        total = mpmath.mpc(0)
+        for n in range(lo, hi + 1):
+            zeta, xi = mp_wkb_phases(n, mu, X)
+            flux = mpmath.mpf(mu) * (1 if n >= mu else -1) * mpmath.pi
+            total += mpmath.expj(n * mpmath.mpf(phi) + flux + 2 * (zeta - xi))
+        ref = complex(-1j / mpmath.sqrt(2 * mpmath.pi) * total)
+    assert abs(f2_asymptotic(phi, mu, X, "direct") - ref) <= 1e-11 * abs(ref)
 
 
 def test_f2_forward_limit_is_suppressed():

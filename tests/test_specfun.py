@@ -49,7 +49,7 @@ def quad_airy(y):
     """
     val, _ = quad(lambda s: math.exp(-s ** 3 / 3.0 - y * s / 2.0)
                   * math.cos(math.sqrt(3.0) * y * s / 2.0 + math.pi / 6.0),
-                  0.0, 40.0, limit=400, epsabs=1e-13, epsrel=1e-13)
+                  0.0, 40.0, limit=400, epsabs=1e-12, epsrel=1e-12)
     return val / math.pi
 
 
