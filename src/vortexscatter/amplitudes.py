@@ -230,7 +230,7 @@ def cross_section_curve(params: VortexParams, grid: np.ndarray | None = None,
         :mod:`vortexscatter.asymptotics` and are converted to 1/k units.
     table : optional precomputed mode table (Exact only).
     """
-    from . import asymptotics  # deferred: asymptotics imports none of this
+    from . import asymptotics  # deferred: asymptotics imports _mode_sum from here, a cycle
 
     if grid is None:
         grid = default_angle_grid()

@@ -34,8 +34,8 @@ Contents
 * ``bracketed_roots``: every bracket of a grid scan refined at once
   (safeguarded Newton or Illinois steps on arrays); it serves the
   stationary points, the Airy inflections and the CLI's fringe peaks.
-* The penetration amplitude evaluated from the WKB phases, either by
-  direct summation or through the stationary-phase engine.
+* The penetration amplitude from the WKB phases on scalar or array angles,
+  summed by the mode-sum kernel of ``amplitudes`` or by the engine.
 * Closed-form differential cross sections: Fraunhofer diffraction,
   strong- and weak-field penetration, the Airy-regularised rainbow, and
   the classical (trajectory-counting) results.  Each takes a scalar angle
@@ -54,6 +54,7 @@ from typing import Callable
 import numpy as np
 
 from . import specfun
+from .amplitudes import _mode_sum
 from .radial import near_mode_range
 
 _EDGE_TOL = 1e-12  # relative roundoff slack of the edge tests |n - mu| <= X and y0 <= X
@@ -440,55 +441,45 @@ def _penetration_phase(phi: float, mu: float, X: float):
     return chi, dchi, d2chi, d3chi
 
 
-def _direct_phase_terms(mu: float, X: float, lo: int, hi: int) -> tuple[list, list, list]:
-    """Angle-independent phase terms n, mu sgn(n-mu) pi and 2 (zeta_n - xi_n)
-    of the classically allowed modes in [lo, hi], as lists in index order."""
-    n, ok, zeta, xi = _wkb_phases(np.arange(lo, hi + 1), mu, X)
-    n, wkb = n[ok], 2.0 * (zeta[ok] - xi[ok])
-    flux = mu * np.where(n >= mu, 1.0, -1.0) * math.pi
-    return n.tolist(), flux.tolist(), wkb.tolist()
-
-
-def f2_asymptotic(phi: float, mu: float, X: float, mode: str = "direct") -> complex:
+def f2_asymptotic(phi, mu: float, X: float, mode: str = "direct"):
     """Penetration amplitude in units 1/sqrt(k) from the WKB phases,
 
         f2 = -(i/sqrt(2 pi)) sum_{|n-mu|<=X} e^{i[n phi + mu sgn(n-mu) pi]}
              e^{2 i (zeta_n - xi_n)},
 
-    summed directly (``mode="direct"``) or via the stationary-phase engine
-    (``mode="stationary"``).  Modes with no classical path to the edge are
-    exponentially suppressed and skipped.
+    summed directly (``mode="direct"``: the weights once per call, then
+    ``amplitudes._mode_sum`` over all angles) or via the stationary-phase
+    engine (``mode="stationary"``, one run per angle).  Modes with no
+    classical path to the edge are exponentially suppressed and skipped.
+    A scalar angle gives a complex, a 1-d array the scalar calls' values.
     """
+    p = np.asarray(phi, dtype=float)
     if mu == 0.0:
         raise ValueError("penetration asymptotics need mu != 0")
-    if not (0.0 < abs(phi) < math.pi):
-        raise ValueError("phi must lie in (-pi, pi), excluding 0")
+    if p.ndim > 1 or not ((0.0 < np.abs(p)) & (np.abs(p) < math.pi)).all():
+        raise ValueError("phi must be a scalar or 1-d array in (-pi, pi), excluding 0")
     if X < 10.0:
         raise ValueError("short-wavelength asymptotics need X >= 10")
 
     lo, hi = near_mode_range(mu, X)
 
     if mode == "direct":
-        total = 0.0 + 0.0j
-        comp = 0.0 + 0.0j
-        for n, flux, wkb in zip(*_direct_phase_terms(mu, X, lo, hi)):
-            arg = n * phi + flux + wkb
-            term = cmath.exp(1j * arg)
-            t = total + term
-            if abs(total) >= abs(term):
-                comp += (total - t) + term
-            else:
-                comp += (term - t) + total
-            total = t
-        return -1j / math.sqrt(2.0 * math.pi) * (total + comp)
+        n, ok, zeta, xi = _wkb_phases(np.arange(lo, hi + 1), mu, X)
+        # mu sgn(n - mu) pi: the (|n| - |n - mu|) pi of the stationary phase
+        # modulo 2 pi, without its cancellation at large |n|
+        flux = mu * np.where(n[ok] >= mu, 1.0, -1.0) * math.pi
+        weights = np.exp(1j * (flux + 2.0 * (zeta[ok] - xi[ok])))
+        return _like(phi, -_mode_sum(p, n[ok].astype(int), weights))
 
     if mode == "stationary":
-        chi, dchi, d2chi, d3chi = _penetration_phase(phi, mu, X)
         # stay clear of the window edges where zeta loses its classical
         # region; the edge modes do not contribute to penetration
-        pad = 1e-6 * X
-        report = poisson_stationary_sum(chi, dchi, (lo + pad, hi - pad), d2chi, d3chi)
-        return -1j / math.sqrt(2.0 * math.pi) * report.total
+        window, f2 = (lo + 1e-6 * X, hi - 1e-6 * X), []
+        for a in np.atleast_1d(p).tolist():
+            chi, dchi, d2chi, d3chi = _penetration_phase(a, mu, X)
+            report = poisson_stationary_sum(chi, dchi, window, d2chi, d3chi)
+            f2.append(-1j / math.sqrt(2.0 * math.pi) * report.total)
+        return _like(phi, np.array(f2))
 
     raise ValueError(f"unknown mode {mode!r}; expected 'direct' or 'stationary'")
 
@@ -549,10 +540,18 @@ RAINBOW_BRANCH = "Rainbow"
 OUTSIDE = "Outside"
 
 
+def _ratio2(mu: float, X: float) -> float:
+    """(X/2mu)^2 - 1; refuses |mu| <= 5e-155 X, where the square overflows."""
+    if not abs(mu) > 5e-155 * X:
+        raise ValueError(f"the rainbow and penetration forms need |mu| > {5e-155 * X:g}, "
+                         f"got mu = {mu:g}: below it (X/2mu)^2 overflows")
+    return (X / (2.0 * mu)) ** 2 - 1.0
+
+
 def rainbow_window_halfwidth(mu: float, X: float) -> float:
     """Angular half-width of the Airy region around the rainbow angle,
     6 (2|mu|)^(-2/3) [(X/2mu)^2 - 1]^(-1/2)."""
-    ratio2 = (X / (2.0 * mu)) ** 2 - 1.0
+    ratio2 = _ratio2(mu, X)
     if ratio2 <= 0.0:
         return 0.0
     return 6.0 * (2.0 * abs(mu)) ** (-2.0 / 3.0) / math.sqrt(ratio2)
@@ -573,12 +572,14 @@ def rainbow_cs(phi, mu: float, X: float):
     p = _angles(phi)
     if mu == 0.0 or 2.0 * abs(mu) > X:
         raise ValueError("rainbow form needs 0 < 2|mu| <= X")
-    ratio2 = (X / (2.0 * mu)) ** 2 - 1.0
-    arg = (-math.copysign(1.0, mu)
-           * (p + 2.0 * math.asin(2.0 * mu / X))
-           * (2.0 * abs(mu)) ** (2.0 / 3.0) * math.sqrt(ratio2))
+    ratio2, sgn, phi_r = _ratio2(mu, X), math.copysign(1.0, mu), rainbow_angle(mu, X)
+    arg = -sgn * (p - phi_r) * (2.0 * abs(mu)) ** (2.0 / 3.0) * math.sqrt(ratio2)
     if (arg < -specfun.SUPPORTED_MAX_AIRY).any():
-        raise ValueError("angle too deep in the classical region for the rainbow form")
+        # the deepest angle that keeps arg in Ai's range, rounded inward to 6 decimals
+        reach = specfun.SUPPORTED_MAX_AIRY / (2.0 * abs(mu)) ** (2.0 / 3.0) / math.sqrt(ratio2)
+        deepest = sgn * math.floor(sgn * (phi_r + sgn * reach) * 1e6) / 1e6
+        raise ValueError("angle too deep in the classical region for the rainbow form: needs phi "
+                         f"{'<=' if mu > 0.0 else '>='} {deepest:.6f} (rainbow angle {phi_r:.6f})")
     # Ai^2 has underflowed to 0 by the supported edge, so clipping there loses nothing
     ai = specfun.airy_ai(np.minimum(arg, specfun.SUPPORTED_MAX_AIRY))
     return _like(phi, (2.0 * math.pi / X) * (2.0 * abs(mu)) ** (4.0 / 3.0) * ratio2 * ai ** 2)
@@ -594,8 +595,7 @@ def penetration_cs(phi, mu: float, X: float):
     elsewhere 0 with the "Outside" tag.  A scalar angle gives a float and
     a str, an array of angles an array of values and one of tags.
     """
-    if mu == 0.0:
-        raise ValueError("penetration needs mu != 0")
+    _ratio2(mu, X)  # refuses mu = 0 and a flux too small for X/(2 mu) to square
     p = _angles(phi)
     r = X / (2.0 * mu)  # signed ratio r_B/r_c * sgn(e B)
     if 2.0 * abs(mu) > X:

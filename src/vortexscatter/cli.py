@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -291,15 +292,6 @@ def _load_scenario_file(path: str) -> dict[str, str]:
     return out
 
 
-def _parse_kappa(text: str) -> float:
-    t = text.strip().lower()
-    if t in ("inf", "+inf", "infinity"):
-        return math.inf
-    if t == "-inf":
-        return -math.inf
-    return float(text)
-
-
 _UNITS = ("k", "rc")
 _REQUIRED = object()  # default of a setting that has none
 
@@ -315,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--kr-c", type=float, help="dimensionless vortex radius k r_c")
         if with_vortex:  # the sweep's closed-form pattern depends on k r_c alone
             sp.add_argument("--mu", type=float, help="flux in flux quanta")
-            sp.add_argument("--kappa", type=_parse_kappa, default=None,
+            sp.add_argument("--kappa", type=float, default=None,
                             help="shell strength kappa/k; 'inf' for the impenetrable vortex")
             sp.add_argument("--sigma", type=int, choices=(-1, 1), default=None,
                             help="spin projection")
@@ -369,7 +361,7 @@ def _settings(args):
 def _scenario_from_args(args) -> Scenario:
     pick = _settings(args)
     params = VortexParams(X=pick("kr_c", float, _REQUIRED), mu=pick("mu", float, 0.0),
-                          kappa=pick("kappa", _parse_kappa, 0.0), sigma=pick("sigma", int, +1))
+                          kappa=pick("kappa", float, 0.0), sigma=pick("sigma", int, +1))
     phi_min = pick("phi_min", float, -math.pi + 1e-3)
     phi_max = pick("phi_max", float, math.pi - 1e-3)
     steps = pick("steps", int, 2001)
@@ -387,6 +379,13 @@ def _scenario_from_args(args) -> Scenario:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a value such as -5e-05 or -inf after a space as an
+    # option; joined to its flag by "=" it is read as the value
+    for i in range(len(argv) - 1, 0, -1):
+        flag, value = argv[i - 1], argv[i]
+        if flag[:2] == "--" and "=" not in flag and re.match(r"-\.?\d|-inf", value, re.I):
+            argv[i - 1:i + 1] = [f"{flag}={value}"]
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "curve":

@@ -239,7 +239,7 @@ def test_criterion_08_forward_vanishing_exponent():
     # the decade lies mostly inside the diffraction cone, where the paper's
     # penetration amplitude carries a grazing-ray forward term; the |phi|^1
     # law belongs to the closed-form cross section (NOTES.md, criterion 08)
-    wkb = exponent(np.array([abs(asy.f2_asymptotic(float(x), mu, X)) ** 2 for x in phis]))
+    wkb = exponent(np.abs(asy.f2_asymptotic(phis, mu, X)) ** 2)
     closed = exponent(np.array([asy.penetration_cs(float(x), mu, X)[0] for x in phis]))
     ok = (abs(exact - wkb) <= 0.2 and abs(closed - 1.0) <= 0.2
           and (time.time() - t0) <= 30.0)
@@ -288,15 +288,13 @@ def test_criterion_09_penetrability_independence():
         f2, _ = amp.fc_sums(grid, p, mode_table(p))
         return f1, np.abs(f1 + np.asarray(f2)) ** 2
 
-    grid = forward_grid(401)
+    grid = forward_grid(1201)
     f1, exact = pattern(grid, 0.0)
-    f2_wkb = np.array([asy.f2_asymptotic(float(x), mu, X) for x in grid])
-    wkb = np.abs(f1 + f2_wkb) ** 2
+    wkb = np.abs(f1 + asy.f2_asymptotic(grid, mu, X)) ** 2
     diffraction = float(np.linalg.norm(exact - wkb) / np.linalg.norm(exact))
     # former clause, reported only: across shell strengths the pattern moves
     # with the grazing-ray term 2 Re(f1 f2*)
-    grid = forward_grid(1201)
-    old = [pattern(grid, k)[1] for k in (0.0, 1.0, 5.0)]
+    old = [exact] + [pattern(grid, k)[1] for k in (1.0, 5.0)]
     old_spread = spread(old, norm=np.linalg.norm(old[0]))
 
     ok = decreasing and diffraction <= 0.02 and (time.time() - t0) <= 300.0

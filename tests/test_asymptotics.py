@@ -2,6 +2,7 @@
 closed-form cross sections, checked against quadrature and brute force."""
 
 import cmath
+import functools
 import itertools
 import math
 
@@ -13,6 +14,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from vortexscatter import asymptotics as asy
 from vortexscatter import specfun
+from vortexscatter.amplitudes import default_angle_grid
 from vortexscatter.asymptotics import (
     ForbiddenModeError,
     classical_cs,
@@ -546,27 +548,70 @@ def f2_direct_per_angle(phi, mu, X):
     return -1j / math.sqrt(2.0 * math.pi) * (total + comp)
 
 
-def test_f2_direct_phases_cached_bit_for_bit():
+def term_scale(mu, X):
+    """K/sqrt(2 pi) for the K allowed modes: the size of the direct sum's
+    terms times their count, the scale its roundoff is measured against."""
+    lo, hi = near_mode_range(mu, X)
+    K = np.count_nonzero(X * X + 4.0 * mu * np.arange(lo, hi + 1) > 0.0)
+    return K / math.sqrt(2.0 * math.pi)
+
+
+def test_f2_direct_matches_per_angle_loop():
+    # the mode-sum kernel adds the terms in another order than the loop
     for mu, X in ((10.0, 100.0), (-3.7, 40.0), (60.0, 50.0)):
         for phi in (-2.5, -0.3, 0.01, 1.7):
-            assert f2_asymptotic(phi, mu, X, "direct") == f2_direct_per_angle(phi, mu, X)
+            err = abs(f2_asymptotic(phi, mu, X, "direct") - f2_direct_per_angle(phi, mu, X))
+            assert err <= 1e-14 * term_scale(mu, X)
+
+
+@pytest.mark.parametrize("X", [30.0, 100.0, 480.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("mode", ["direct", "stationary"])
+def test_f2_array_equals_scalar_calls_bit_for_bit(mode, sign, X):
+    mu = sign * X / 10.0
+    # the direct grid spans more than one block of the mode-sum kernel
+    grid = default_angle_grid(257 if mode == "direct" else 101)
+    scalars = [f2_asymptotic(phi, mu, X, mode) for phi in grid.tolist()]
+    assert all(type(v) is complex for v in scalars)
+    assert np.array_equal(f2_asymptotic(grid, mu, X, mode), np.array(scalars))
+
+
+@functools.lru_cache(maxsize=None)
+def mp_direct_phases(mu, X):
+    """(n, mu sgn(n - mu) pi + 2 (zeta_n - xi_n)) of every allowed mode,
+    at 40 digits."""
+    lo, hi = near_mode_range(mu, X)
+    with mpmath.workdps(40):
+        return [(n, mpmath.mpf(mu) * (1 if n >= mu else -1) * mpmath.pi + 2 * (zeta - xi))
+                for n in range(lo, hi + 1) if X * X + 4.0 * mu * n > 0.0
+                for zeta, xi in [mp_wkb_phases(n, mu, X)]]
+
+
+def mp_f2_direct(phi, mu, X):
+    """The direct sum with every phase and exponential at 40 digits."""
+    with mpmath.workdps(40):
+        total = mpmath.fsum(mpmath.expj(n * mpmath.mpf(phi) + ph)
+                            for n, ph in mp_direct_phases(mu, X))
+        return complex(-1j / mpmath.sqrt(2 * mpmath.pi) * total)
 
 
 @pytest.mark.parametrize("phi", [-0.3, 0.01])
 def test_f2_direct_small_flux_matches_mpmath_sum(phi):
     # mu = 1e-3 at X = 480, where arccos phases put f2 off by 19% at
-    # phi = -0.3: the direct sum of 961 unit terms against the same sum
-    # with every phase and exponential at 40 digits
+    # phi = -0.3: the direct sum of 961 unit terms
     X, mu = 480.0, 1e-3
-    lo, hi = near_mode_range(mu, X)
-    with mpmath.workdps(40):
-        total = mpmath.mpc(0)
-        for n in range(lo, hi + 1):
-            zeta, xi = mp_wkb_phases(n, mu, X)
-            flux = mpmath.mpf(mu) * (1 if n >= mu else -1) * mpmath.pi
-            total += mpmath.expj(n * mpmath.mpf(phi) + flux + 2 * (zeta - xi))
-        ref = complex(-1j / mpmath.sqrt(2 * mpmath.pi) * total)
+    ref = mp_f2_direct(phi, mu, X)
     assert abs(f2_asymptotic(phi, mu, X, "direct") - ref) <= 1e-11 * abs(ref)
+
+
+@pytest.mark.parametrize("mu", [1e-3, 40.7])
+@pytest.mark.parametrize("phi", [-2.5, 1.7])
+def test_f2_direct_shadow_side_matches_mpmath_sum(mu, phi):
+    # far from the penetration window |f2| falls to a few hundredths of the
+    # terms' unit size, so the roundoff bound is absolute, on the term scale
+    X = 480.0
+    err = abs(f2_asymptotic(phi, mu, X, "direct") - mp_f2_direct(phi, mu, X))
+    assert err <= 1e-14 * term_scale(mu, X)
 
 
 def test_f2_forward_limit_is_suppressed():
@@ -583,6 +628,9 @@ def test_f2_input_validation():
         f2_asymptotic(0.3, 0.0, 100.0)
     with pytest.raises(ValueError):
         f2_asymptotic(0.3, 1.0, 5.0)
+    for phi in (np.array([-0.3, 0.0]), np.array([0.3, math.pi]), np.full((2, 2), 0.3)):
+        with pytest.raises(ValueError):
+            f2_asymptotic(phi, 10.0, 100.0)
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +758,14 @@ def test_rainbow_input_validation():
         rainbow_cs(0.1, 60.0, 100.0)
     with pytest.raises(ValueError, match="too deep"):
         rainbow_cs(np.array([-0.5, 2.5]), 70.0, 480.0)
+
+
+def test_rainbow_forms_refuse_a_flux_whose_ratio_overflows():
+    # (X/2mu)^2 used to raise an uncaught OverflowError below |mu| ~ 1e-153 X
+    for form in (lambda: penetration_cs(0.1, 1e-300, 30.0), lambda: rainbow_cs(0.1, 1e-300, 30.0),
+                 lambda: rainbow_window_halfwidth(-1e-300, 30.0)):
+        with pytest.raises(ValueError, match="overflows"):
+            form()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 exit codes, regime warnings."""
 
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -274,3 +275,37 @@ def test_classical_curve_refuses_zero_flux(tmp_path, capsys):
     assert code == cli.EXIT_INVALID
     assert "mu != 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_negative_values_after_a_space(tmp_path):
+    # argparse reads -5e-05 and -inf after a space as options unless the
+    # CLI joins them to their flags
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert run(["curve", "--kr-c", "30", "--mu", "-5e-05", "--out", str(spaced)]) == cli.EXIT_OK
+    assert run(["curve", "--kr-c", "30", "--mu=-5e-05", "--out", str(joined)]) == cli.EXIT_OK
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert run(["curve", "--kr-c", "30", "--mu", "5", "--kappa", "-inf",
+                "--out", str(tmp_path / "hard.csv")]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("method", ["PenetrationAsymptotic", "Rainbow"])
+def test_tiny_flux_rainbow_forms_exit_invalid(tmp_path, capsys, method):
+    # (X/2mu)^2 overflowed and the CLI printed a traceback
+    out = tmp_path / "tiny.csv"
+    assert run(["curve", "--kr-c", "30", "--mu", "1e-300", "--method", method,
+                "--out", str(out)]) == cli.EXIT_INVALID
+    assert "overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mu, deep, other", [(0.37, "--phi-max", ("--phi-min", "-0.5")),
+                                             (-0.37, "--phi-min", ("--phi-max", "0.5"))])
+def test_rainbow_refusal_names_the_deepest_accepted_angle(tmp_path, capsys, mu, deep, other):
+    base = ["curve", "--kr-c", "30", "--mu", str(mu), "--method", "Rainbow", *other]
+    assert run(base + ["--out", str(tmp_path / "deep.csv")]) == cli.EXIT_INVALID
+    found = re.search(r"needs phi [<>]= (\S+) \(rainbow angle (\S+)\)$", capsys.readouterr().err)
+    assert float(found[2]) == pytest.approx(asy.rainbow_angle(mu, 30.0), abs=1e-6)
+    bound = float(found[1])
+    assert run(base + [deep, found[1], "--out", str(tmp_path / "ok.csv")]) == cli.EXIT_OK
+    past = f"{bound + math.copysign(1e-5, mu):.6f}"
+    assert run(base + [deep, past, "--out", str(tmp_path / "past.csv")]) == cli.EXIT_INVALID
