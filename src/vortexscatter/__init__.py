@@ -28,7 +28,6 @@ from .amplitudes import (
 from .asymptotics import (
     ForbiddenModeError,
     StationaryPhaseReport,
-    WKBPhase,
     classical_cs,
     deflection,
     f2_asymptotic,
@@ -38,7 +37,6 @@ from .asymptotics import (
     rainbow_angle,
     rainbow_cs,
     xi_phase,
-    zeta_phase,
 )
 from .radial import (
     InsideSolution,
@@ -57,10 +55,9 @@ __all__ = [
     "AB", "CLASSICAL", "EXACT", "FRAUNHOFER", "METHOD_TAGS", "PENETRATION",
     "RAINBOW", "CrossSectionCurve", "ForbiddenModeError", "InsideSolution",
     "ModeMatch", "ModeTable", "SolverFailure", "StationaryPhaseReport",
-    "VortexParams", "WKBPhase", "ab_amplitude", "classical_cs",
-    "cross_section_curve", "default_angle_grid", "deflection", "f1_sum",
-    "f2_asymptotic", "fc_sums", "fraunhofer_cs", "inside_solution",
-    "mode_table", "outside_basis_at_edge", "penetration_cs",
-    "poisson_stationary_sum", "rainbow_angle", "rainbow_cs",
-    "refined_angle_grid", "xi_phase", "zeta_phase",
+    "VortexParams", "ab_amplitude", "classical_cs", "cross_section_curve",
+    "default_angle_grid", "deflection", "f1_sum", "f2_asymptotic",
+    "fc_sums", "fraunhofer_cs", "inside_solution", "mode_table",
+    "outside_basis_at_edge", "penetration_cs", "poisson_stationary_sum",
+    "rainbow_angle", "rainbow_cs", "refined_angle_grid", "xi_phase",
 ]

@@ -30,7 +30,10 @@ modes, so a block of angles needs ~2 sqrt(K) complex exponentials per
 angle instead of K.  Two fixed-order einsum contractions, over b and
 then over a, take the sum one block of angles at a time, so identical
 inputs give identical bits at any BLAS thread count and no table
-exceeds one block.
+exceeds one block.  An Exact curve sums f1, f2 and f3 as three weight
+rows of one such call over the mode window of
+:func:`vortexscatter.radial.mode_table`, with zero weights on the modes
+a piece does not include.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .radial import ModeTable, VortexParams, mode_table, near_mode_range
+from .radial import ModeTable, VortexParams, _mode_window, mode_table
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BLOCK = 256  # angles per phase-matrix block of a mode sum
@@ -127,19 +130,21 @@ def _mode_sum(phi, ns: np.ndarray, weights):
 def f1_sum(phi, params: VortexParams):
     """Edge-diffraction amplitude f1 by direct near-mode summation.
 
-    Independent of the interior field and of the shell strength; strongly
-    peaked in the forward direction with k|f1(0)|^2 ~ (2/pi) X^2 cos^2(mu pi).
+    Sums the mode window of :func:`vortexscatter.radial.mode_table` with
+    zero weights off the near modes, as the f1 row of an Exact curve does,
+    so the two agree bit for bit.  Independent of the interior field and
+    of the shell strength; strongly peaked in the forward direction with
+    k|f1(0)|^2 ~ (2/pi) X^2 cos^2(mu pi).
     """
-    lo, hi = near_mode_range(params.mu, params.X)
-    ns = np.arange(lo, hi + 1)
-    weights = np.asarray(flux_phase(ns, params.mu))
-    return _mode_sum(phi, ns, weights)
+    n, _, near = _mode_window(params)
+    return _mode_sum(phi, n, np.where(near, flux_phase(n, params.mu), 0.0))
 
 
 def fc_sums(phi, params: VortexParams, table: ModeTable | None = None):
     """Penetration and far-mode amplitudes (f2, f3) from a mode table.
 
-    f2 sums the near-mode coefficients P_n c_n, f3 the far-mode ones.
+    f2 sums the near-mode coefficients P_n c_n, f3 the far-mode ones; both
+    are rows of the one mode sum of an Exact curve.
 
     Parameters
     ----------
@@ -159,20 +164,18 @@ def fc_sums(phi, params: VortexParams, table: ModeTable | None = None):
 
 
 def _table_sums(phi, params: VortexParams, table: ModeTable | None):
-    """(f1, f2, f3) of :func:`fc_sums`; the near modes of the table are
-    those of :func:`near_mode_range` in the same order, so f1 equals
-    :func:`f1_sum` bit for bit."""
+    """(f1, f2, f3) as three weight rows of one mode sum over the table's
+    window: P_n on the near modes, P_n c_n on the near modes and P_n c_n on
+    the far ones, with zero weights elsewhere.  The f1 row is that of
+    :func:`f1_sum`, so the two agree bit for bit."""
     if table is None:
         table = mode_table(params)
     elif table.params != params:
         raise ValueError(f"mode table built for {table.params}, not for {params}")
-    kept = table.near | (table.c_n != 0.0)
-    n, near, c = table.n[kept], table.near[kept], table.c_n[kept]
-    p = np.asarray(flux_phase(n, params.mu))
-
-    f1 = _mode_sum(phi, n[near], p[near])
-    f2, f3 = _mode_sum(phi, n, [np.where(near, p * c, 0.0), np.where(near, 0.0, p * c)])
-    return f1, f2, f3
+    near, p = table.near, flux_phase(table.n, params.mu)
+    pc = p * table.c_n
+    return _mode_sum(phi, table.n, [np.where(near, p, 0.0), np.where(near, pc, 0.0),
+                                    np.where(near, 0.0, pc)])
 
 
 # ---------------------------------------------------------------------------

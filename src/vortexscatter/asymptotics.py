@@ -8,7 +8,8 @@ Contents
       xi_n(X)   = integral_{nu}^{X}  du sqrt(1 - (nu/u)^2),  nu = |n - mu|,
       zeta_n(X) = integral_{y0}^{X} du sqrt(1 - ((n - gamma(u))/u)^2),
 
-  with the closed evaluation of both for the uniform profile
+  y0 the inner turning point (0 when the classical region reaches the
+  axis), with the closed evaluation of both for the uniform profile
   gamma(u) = mu u^2/X^2 (the spin correction is dropped here, consistent
   with the flux regime |mu| << X^2/2; the exact solver keeps it, and the
   difference is itself a measured quantity in the tests),
@@ -55,9 +56,9 @@ import numpy as np
 
 from . import specfun
 from .amplitudes import _mode_sum
-from .radial import near_mode_range
+from .radial import VortexParams, _mode_window
 
-_EDGE_TOL = 1e-12  # relative roundoff slack of the edge tests |n - mu| <= X and y0 <= X
+_EDGE_TOL = 1e-12  # relative roundoff slack of the edge test |n - mu| <= X
 
 
 # ---------------------------------------------------------------------------
@@ -117,54 +118,6 @@ def _wkb_phases(n, mu: float, X: float):
     n, W, ok, a0, a1, a2 = _edge_angles(n, mu, X)
     zeta = 0.5 * W + (X * X + 2.0 * mu * n) / (4.0 * abs(mu)) * a1 - 0.5 * np.abs(n) * a2
     return n, ok, zeta, W - np.abs(n - mu) * a0
-
-
-def turning_point(n: float, mu: float, X: float) -> float:
-    """Inner turning point y0: the zero of 1 - ((n - gamma(y))/y)^2 closest
-    below the edge, or 0 when the classical region extends to the axis."""
-    if mu == 0.0:
-        return abs(n)
-    # the zeros solve a y^2 +- y - n = 0; both branches share the
-    # discriminant, and the product-of-roots form q/a, -n/q of each does
-    # not cancel however small a is
-    a = mu / (X * X)
-    disc = 1.0 + 4.0 * a * n
-    if disc < 0.0:
-        return 0.0
-    roots = []
-    for sgn in (+1.0, -1.0):
-        q = -0.5 * sgn * (1.0 + math.sqrt(disc))
-        roots += [q / a, -n / q]
-    return max((min(r, X) for r in roots if 0.0 < r <= X * (1.0 + _EDGE_TOL)), default=0.0)
-
-
-@dataclass(frozen=True)
-class WKBPhase:
-    """Edge phases of one mode: outside xi, inside zeta, turning point y0."""
-
-    xi: float
-    zeta: float
-    y0: float
-
-
-def zeta_phase(n: float, mu: float, X: float) -> WKBPhase:
-    """Inside WKB phase at the edge for the uniform profile.
-
-    Parameters
-    ----------
-    n, mu, X : float
-        Mode index (may be real), flux, radius; mu must be nonzero.
-
-    Raises
-    ------
-    ForbiddenModeError
-        If the mode has no classical region reaching x = X.
-    """
-    if mu == 0.0:
-        raise ValueError("zeta_phase needs mu != 0; use xi_phase for the free field")
-    n, ok, zeta, xi = _wkb_phases(n, mu, X)
-    _require_allowed(n, ok, mu, X)
-    return WKBPhase(xi=float(xi), zeta=float(zeta), y0=turning_point(float(n), mu, X))
 
 
 def deflection(n: float, mu: float, X: float) -> float:
@@ -461,10 +414,11 @@ def f2_asymptotic(phi, mu: float, X: float, mode: str = "direct"):
     if X < 10.0:
         raise ValueError("short-wavelength asymptotics need X >= 10")
 
-    lo, hi = near_mode_range(mu, X)
+    modes, _, near = _mode_window(VortexParams(X, mu))
+    modes = modes[near]
 
     if mode == "direct":
-        n, ok, zeta, xi = _wkb_phases(np.arange(lo, hi + 1), mu, X)
+        n, ok, zeta, xi = _wkb_phases(modes, mu, X)
         # mu sgn(n - mu) pi: the (|n| - |n - mu|) pi of the stationary phase
         # modulo 2 pi, without its cancellation at large |n|
         flux = mu * np.where(n[ok] >= mu, 1.0, -1.0) * math.pi
@@ -474,7 +428,7 @@ def f2_asymptotic(phi, mu: float, X: float, mode: str = "direct"):
     if mode == "stationary":
         # stay clear of the window edges where zeta loses its classical
         # region; the edge modes do not contribute to penetration
-        window, f2 = (lo + 1e-6 * X, hi - 1e-6 * X), []
+        window, f2 = (int(modes[0]) + 1e-6 * X, int(modes[-1]) - 1e-6 * X), []
         for a in np.atleast_1d(p).tolist():
             chi, dchi, d2chi, d3chi = _penetration_phase(a, mu, X)
             report = poisson_stationary_sum(chi, dchi, window, d2chi, d3chi)

@@ -13,7 +13,8 @@ Subcommands
              configured tolerance is exceeded
 
 Scenario parameters come from flags or from a plain ``key=value`` file
-(one pair per line, ``#`` comments); flags override the file.  The
+(one pair per line, ``#`` comments); flags override the file, and a
+key that no command reads is refused (exit 2).  The
 impenetrable shell is spelled ``--kappa inf``.  All numeric CSV output
 uses 17 significant digits, so identical inputs give byte-identical
 files; the rows are built column-wise, one format call per cell.
@@ -278,6 +279,11 @@ def compare_report(scenario: Scenario, max_l2: float | None = None,
 # argument handling
 # ---------------------------------------------------------------------------
 
+#: every key a scenario file may set; sweep reads curve and compare files
+_SCENARIO_KEYS = ("kr_c", "mu", "kappa", "sigma", "phi_min", "phi_max", "steps",
+                  "methods", "out", "units")
+
+
 def _load_scenario_file(path: str) -> dict[str, str]:
     out = {}
     with open(path) as fh:
@@ -287,8 +293,11 @@ def _load_scenario_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"malformed scenario line: {raw.strip()!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key not in _SCENARIO_KEYS:
+                raise ValueError(f"unknown scenario key {key!r} in {path}; "
+                                 f"expected one of {', '.join(_SCENARIO_KEYS)}")
+            out[key] = val
     return out
 
 

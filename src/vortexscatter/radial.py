@@ -123,18 +123,15 @@ NEAR = "near"
 FAR = "far"
 
 
-def near_mode_range(mu: float, X: float) -> tuple[int, int]:
-    """Inclusive integer range of the near modes, those with |n - mu| <= X
-    (edge in the oscillatory region; the others are far, under the
-    centrifugal barrier)."""
-    lo = math.ceil(mu - X)
-    hi = math.floor(mu + X)
-    # guard against roundoff at |n - mu| == X
-    if abs(lo - mu) > X:
-        lo += 1
-    if abs(hi - mu) > X:
-        hi -= 1
-    return lo, hi
+def _mode_window(params: VortexParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mode window round(mu) - n_max <= n <= round(mu) + n_max of every
+    table and mode sum, as (n, nu = |n - mu|, near mask nu <= X).  Near
+    modes have their edge in the oscillatory region; the far ones sit
+    under the centrifugal barrier."""
+    c = round(params.mu)
+    n = np.arange(c - params.n_max, c + params.n_max + 1)
+    nu = np.abs(n - params.mu)
+    return n, nu, nu <= params.X
 
 
 @dataclass(frozen=True)
@@ -416,9 +413,7 @@ def mode_table(params: VortexParams) -> ModeTable:
     """
     X, mu, kappa = params.X, params.mu, params.kappa
     ic = params.n_max
-    n = np.arange(round(mu) - ic, round(mu) + ic + 1)
-    nu = np.abs(n - mu)
-    near = nu <= X
+    n, nu, near = _mode_window(params)
     if not (nu.max() <= specfun.SUPPORTED_MAX_ORDER and X <= specfun.SUPPORTED_MAX_ARGUMENT):
         raise SolverFailure(
             f"X={X}, mu={mu}: orders up to {nu.max():g} at argument {X:g} lie outside "

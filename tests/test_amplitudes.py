@@ -293,14 +293,44 @@ def test_exact_curve_extras_consistent():
 
 
 def test_exact_curve_reuses_mode_sums_bit_for_bit():
-    # the Exact curve sums f1 once; it must equal f1_sum, and f2, f3 must
-    # equal fc_sums, in every bit
-    p = VortexParams(X=30.0, mu=2.5, kappa=1.0)
+    # the Exact curve sums f1, f2 and f3 in one call; its f1 must equal
+    # f1_sum, and f2, f3 must equal fc_sums, in every bit
     g = amp.default_angle_grid(101)
-    ex = amp.cross_section_curve(p, g, amp.EXACT).extras
-    f2, f3 = amp.fc_sums(g, p)
-    assert np.array_equal(ex["f1"], amp.f1_sum(g, p))
-    assert np.array_equal(ex["f2"], f2) and np.array_equal(ex["f3"], f3)
+    for X, mu, kappa in [(30.0, 2.5, 1.0), (480.0, 62.77, 0.0), (480.0, -62.77, 0.0),
+                         (480.0, 62.77, math.inf), (480.0, -62.77, math.inf)]:
+        p = VortexParams(X=X, mu=mu, kappa=kappa)
+        ex = amp.cross_section_curve(p, g, amp.EXACT).extras
+        f2, f3 = amp.fc_sums(g, p)
+        assert np.array_equal(ex["f1"], amp.f1_sum(g, p))
+        assert np.array_equal(ex["f2"], f2) and np.array_equal(ex["f3"], f3)
+
+
+def test_exact_curve_continuous_as_the_last_near_mode_leaves():
+    # at X = 0.2 the mode n = 0 is the only near one for mu < 0.2 and far
+    # above it; the near/far bookkeeping must not show in the curve, and a
+    # window without near modes has f1 = 0
+    g = amp.default_angle_grid(41)
+    for kappa in (0.0, 1.0, math.inf):
+        below, above = (amp.cross_section_curve(VortexParams(X=0.2, mu=0.2 + d, kappa=kappa), g)
+                        for d in (-1e-9, 1e-9))
+        assert not np.any(above.extras["f1"]) and not np.any(above.extras["f2"])
+        assert np.abs(above.value - below.value).max() <= 1e-7 * below.value.max()
+
+
+def test_exact_curve_makes_one_mode_sum_call(monkeypatch):
+    # f1, f2 and f3 are three weight rows of one call, which builds its exp
+    # tables once per block of angles
+    calls = []
+
+    def counted(*args):
+        calls.append(np.shape(args[2]))
+        return mode_sum(*args)
+
+    mode_sum = amp._mode_sum
+    monkeypatch.setattr(amp, "_mode_sum", counted)
+    p = VortexParams(X=100.0, mu=10.37, kappa=0.0)
+    amp.cross_section_curve(p, amp.default_angle_grid(301), amp.EXACT)
+    assert calls == [(3, len(mode_table(p).n))]
 
 
 def test_spin_flip_curve_symmetry_without_shell():

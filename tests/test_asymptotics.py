@@ -27,11 +27,15 @@ from vortexscatter.asymptotics import (
     rainbow_angle,
     rainbow_cs,
     rainbow_window_halfwidth,
-    turning_point,
     xi_phase,
-    zeta_phase,
 )
-from vortexscatter.radial import near_mode_range
+from vortexscatter.radial import VortexParams, _mode_window
+
+
+def near_modes(mu, X):
+    """The near modes |n - mu| <= X of the package's one mode window."""
+    n, _, near = _mode_window(VortexParams(X, mu))
+    return n[near]
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +72,29 @@ def test_xi_domain_error():
 # inside phase (uniform profile)
 # ---------------------------------------------------------------------------
 
+def wkb(n, mu, X):
+    """(zeta_n, xi_n) of one mode with a classical path to the edge, from
+    the package's array pass."""
+    _, ok, zeta, xi = asy._wkb_phases(n, mu, X)
+    assert ok
+    return float(zeta), float(xi)
+
+
+def turning_point(n, mu, X):
+    """Inner turning point y0: the largest zero in (0, X] of
+    1 - ((n - gamma(y))/y)^2, from the 50-digit roots of
+    a y^2 +- y - n = 0 with a = mu/X^2; 0 when the classical region
+    reaches the axis."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(mu) / X ** 2
+        disc = 1 + 4 * a * n
+        if disc < 0:
+            return 0.0
+        sq = mpmath.sqrt(disc)
+        roots = [(-sgn + r) / (2 * a) for sgn in (1, -1) for r in (sq, -sq)]
+        return float(max((r for r in roots if 0 < r <= X), default=0))
+
+
 def quad_zeta(n, mu, X):
     """Independent quadrature of the inside phase with the endpoint
     singularity removed by u = y0 + t^2."""
@@ -89,16 +116,15 @@ def test_zeta_closed_vs_quadrature():
     cases = [(3, 0.5, 20.0), (0, 2.0, 20.0), (10, 10.0, 100.0), (-5, 3.0, 30.0),
              (25, 25.0, 100.0), (3, -2.0, 20.0), (-3, -5.0, 40.0), (7, 1.3, 25.0)]
     for n, mu, X in cases:
-        ph = zeta_phase(n, mu, X)
-        assert ph.zeta == pytest.approx(quad_zeta(n, mu, X), abs=1e-8)
-        assert 0.0 <= ph.y0 <= X
-        assert ph.xi == pytest.approx(xi_phase(n, mu, X))
+        zeta, xi = wkb(n, mu, X)
+        assert zeta == pytest.approx(quad_zeta(n, mu, X), abs=1e-8)
+        assert xi == pytest.approx(xi_phase(n, mu, X))
 
 
 def test_zeta_small_flux_limit_is_xi():
     # numeric limit scan: zeta -> xi as the flux vanishes
     n, X = 3, 20.0
-    errs = [abs(zeta_phase(n, mu, X).zeta - xi_phase(n, 0.0, X))
+    errs = [abs(wkb(n, mu, X)[0] - xi_phase(n, 0.0, X))
             for mu in (1e-2, 1e-3, 1e-4)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-3
@@ -106,7 +132,7 @@ def test_zeta_small_flux_limit_is_xi():
 
 def test_zeta_on_axis_mode():
     # n = mu: quadrature oracle for the smallest nontrivial case
-    assert zeta_phase(0.5, 0.5, 10.0).zeta == pytest.approx(quad_zeta(0.5, 0.5, 10.0), abs=1e-6)
+    assert wkb(0.5, 0.5, 10.0)[0] == pytest.approx(quad_zeta(0.5, 0.5, 10.0), abs=1e-6)
 
 
 def test_boundary_slope_matches_outside_momentum():
@@ -129,10 +155,14 @@ def test_boundary_slope_matches_outside_momentum():
 
 
 def test_zeta_forbidden_mode():
-    with pytest.raises(ForbiddenModeError):
-        zeta_phase(40.0, 2.0, 30.0)  # nu > X
+    # no zeta without a classical path to the edge: nu > X, or the inner
+    # and outer turning points merge at the edge (X^2 + 4 mu n = 0)
+    for n, mu, X in [(40.0, 2.0, 30.0), (-15.0, 15.0, 30.0)]:
+        assert not asy._wkb_phases(n, mu, X)[1]
+        with pytest.raises(ForbiddenModeError):
+            deflection(n, mu, X)
     with pytest.raises(ValueError):
-        zeta_phase(3, 0.0, 30.0)
+        deflection(40.0, 0.0, 30.0)  # the free field: xi's domain error
 
 
 def mp_wkb_phases(n, mu, X):
@@ -155,29 +185,15 @@ def test_wkb_phases_match_mpmath_at_every_flux(X):
     worst = 0.0
     with mpmath.workdps(50):
         for mu in [s * m for m in (1e-5, 1e-3, 0.1, X / 4, X) for s in (1.0, -1.0)]:
-            lo, hi = near_mode_range(mu, X)
+            modes = near_modes(mu, X)
+            lo, hi = int(modes[0]), int(modes[-1])
             for n in sorted({lo, hi, round(mu), 0, *np.linspace(lo, hi, 9).round()}):
                 if not lo <= n <= hi or X * X + 4.0 * mu * n <= 0.0:
                     continue
-                ph = zeta_phase(float(n), mu, X)
-                zeta, xi = mp_wkb_phases(n, mu, X)
-                worst = max(worst, abs(ph.zeta - float(zeta)), abs(ph.xi - float(xi)))
+                zeta, xi = wkb(float(n), mu, X)
+                mp_zeta, mp_xi = mp_wkb_phases(n, mu, X)
+                worst = max(worst, abs(zeta - float(mp_zeta)), abs(xi - float(mp_xi)))
     assert worst <= 2e-13
-
-
-@pytest.mark.parametrize("mu", [1e-6, 1e-8])
-@pytest.mark.parametrize("n", [100.0, -100.0, 3.0])
-def test_turning_point_small_flux_matches_mpmath_roots(mu, n):
-    # a y^2 +- y - n = 0 with a = mu/X^2 ~ 1e-12: in double precision the
-    # textbook root near |n| cancels and was dropped as spurious; at 50
-    # digits it keeps more than 30 correct
-    X = 480.0
-    with mpmath.workdps(50):
-        a = mpmath.mpf(mu) / X ** 2
-        sq = mpmath.sqrt(1 + 4 * a * n)
-        roots = [(-sgn + r) / (2 * a) for sgn in (1, -1) for r in (sq, -sq)]
-        y0 = float(max(r for r in roots if 0 < r <= X))
-    assert turning_point(n, mu, X) == pytest.approx(y0, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +210,8 @@ def test_deflection_matches_central_differences():
     # phase picks up an exact 2 pi slope jump and is not differentiable
     h = 1e-5
     for n, mu, X in [(3, 0.5, 20.0), (-12, 5.0, 40.0), (20.0, 25.0, 100.0), (7, -2.0, 30.0)]:
-        fd = (2.0 * (xi_phase(n + h, mu, X) - zeta_phase(n + h, mu, X).zeta)
-              - 2.0 * (xi_phase(n - h, mu, X) - zeta_phase(n - h, mu, X).zeta)) / (2 * h)
+        fd = (2.0 * (xi_phase(n + h, mu, X) - wkb(n + h, mu, X)[0])
+              - 2.0 * (xi_phase(n - h, mu, X) - wkb(n - h, mu, X)[0])) / (2 * h)
         assert deflection(n, mu, X) == pytest.approx(fd, abs=1e-6)
 
 
@@ -311,8 +327,8 @@ def oracle_roots(dchi, target, window):
 
 def penetration_window(mu, X):
     """The window f2_asymptotic hands to the engine."""
-    lo, hi = near_mode_range(mu, X)
-    return lo + 1e-6 * X, hi - 1e-6 * X
+    modes = near_modes(mu, X)
+    return int(modes[0]) + 1e-6 * X, int(modes[-1]) - 1e-6 * X
 
 
 @pytest.mark.parametrize("case", ["quadratic", "separated cubic", "penetration"])
@@ -533,12 +549,11 @@ def f2_direct_per_angle(phi, mu, X):
     for n in range(lo, hi + 1):
         if abs(n - mu) > X:
             continue
-        try:
-            ph = zeta_phase(n, mu, X)
-        except ForbiddenModeError:
+        _, ok, zeta, xi = asy._wkb_phases(n, mu, X)
+        if not ok:
             continue
         sgn = 1.0 if n >= mu else -1.0
-        term = cmath.exp(1j * (n * phi + mu * sgn * math.pi + 2.0 * (ph.zeta - ph.xi)))
+        term = cmath.exp(1j * (n * phi + mu * sgn * math.pi + 2.0 * float(zeta - xi)))
         t = total + term
         if abs(total) >= abs(term):
             comp += (total - t) + term
@@ -551,8 +566,7 @@ def f2_direct_per_angle(phi, mu, X):
 def term_scale(mu, X):
     """K/sqrt(2 pi) for the K allowed modes: the size of the direct sum's
     terms times their count, the scale its roundoff is measured against."""
-    lo, hi = near_mode_range(mu, X)
-    K = np.count_nonzero(X * X + 4.0 * mu * np.arange(lo, hi + 1) > 0.0)
+    K = np.count_nonzero(X * X + 4.0 * mu * near_modes(mu, X) > 0.0)
     return K / math.sqrt(2.0 * math.pi)
 
 
@@ -580,10 +594,9 @@ def test_f2_array_equals_scalar_calls_bit_for_bit(mode, sign, X):
 def mp_direct_phases(mu, X):
     """(n, mu sgn(n - mu) pi + 2 (zeta_n - xi_n)) of every allowed mode,
     at 40 digits."""
-    lo, hi = near_mode_range(mu, X)
     with mpmath.workdps(40):
         return [(n, mpmath.mpf(mu) * (1 if n >= mu else -1) * mpmath.pi + 2 * (zeta - xi))
-                for n in range(lo, hi + 1) if X * X + 4.0 * mu * n > 0.0
+                for n in near_modes(mu, X).tolist() if X * X + 4.0 * mu * n > 0.0
                 for zeta, xi in [mp_wkb_phases(n, mu, X)]]
 
 

@@ -94,6 +94,31 @@ def test_scenario_file_units_are_validated(tmp_path, capsys):
     assert not (tmp_path / "u.csv").exists()
 
 
+@pytest.mark.parametrize("command, line", [
+    ("curve", "kapa = inf"),          # misspelt kappa
+    ("compare", "max_l2 = 1e-9"),     # a compare flag, not a file key
+    ("sweep", "mu_steps = 3"),        # a sweep flag, not a file key
+])
+def test_scenario_file_refuses_unknown_keys(tmp_path, capsys, command, line):
+    scen = tmp_path / "scenario.txt"
+    scen.write_text(f"kr_c = 30\nmu = 0.3\nmethods = Exact;Fraunhofer\nsteps = 5\n"
+                    f"{line}\nout = {tmp_path / 'x.csv'}\n")
+    assert run([command, "--scenario", str(scen)]) == cli.EXIT_INVALID
+    key = line.split("=")[0].strip()
+    assert f"unknown scenario key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_sweep_reads_a_curve_scenario_file(tmp_path):
+    # every key a curve or compare file may set is known to the sweep too
+    scen = tmp_path / "scenario.txt"
+    scen.write_text("kr_c = 30\nmu = 0.3\nkappa = 1\nsigma = -1\nphi_min = -0.5\n"
+                    "phi_max = 0.5\nsteps = 5\nmethods = Exact;Fraunhofer\nunits = rc\n"
+                    f"out = {tmp_path / 'x.csv'}\n")
+    assert run(["sweep", "--scenario", str(scen), "--mu-steps", "3"]) == cli.EXIT_OK
+    assert len((tmp_path / "x.csv").read_text().strip().split("\n")) == 4
+
+
 def test_kappa_inf_spelling(tmp_path):
     out = tmp_path / "inf.csv"
     code = run(["curve", "--kr-c", "20", "--mu", "0.4", "--kappa", "inf",

@@ -15,7 +15,6 @@ from vortexscatter.radial import (
     VortexParams,
     inside_solution,
     mode_table,
-    near_mode_range,
     outside_basis_at_edge,
 )
 
@@ -71,10 +70,14 @@ def test_mode_index_regimes():
     assert table_row(p, 3).nu == pytest.approx(2.6)
     assert table_row(p, 11).regime == FAR
     assert table_row(p, -10).regime == FAR  # nu = 10.4 > 10
-    # the table's near mask is near_mode_range, also where |n - mu| == X
-    for X, mu in ((10.0, 0.4), (9.75, 0.25), (9.75, -0.25), (30.0, -7.5)):
-        tab = mode_table(VortexParams(X=X, mu=mu))
-        lo, hi = near_mode_range(mu, X)
+    # the table is the one mode window, and its near modes are those with
+    # |n - mu| <= X, also where |n - mu| == X (n = +-10 at X = 9.75)
+    for X, mu, lo, hi in ((10.0, 0.4, -9, 10), (9.75, 0.25, -9, 10),
+                          (9.75, -0.25, -10, 9), (30.0, -7.5, -37, 22)):
+        p = VortexParams(X=X, mu=mu)
+        tab, (n, nu, near) = mode_table(p), radial._mode_window(p)
+        assert np.array_equal(tab.n, n) and np.array_equal(tab.nu, nu)
+        assert np.array_equal(tab.near, near)
         assert tab.n[tab.near].tolist() == list(range(lo, hi + 1))
 
 
