@@ -23,7 +23,6 @@ from .amplitudes import (
     default_angle_grid,
     f1_sum,
     fc_sums,
-    refined_angle_grid,
 )
 from .asymptotics import (
     ForbiddenModeError,
@@ -59,5 +58,5 @@ __all__ = [
     "default_angle_grid", "deflection", "f1_sum", "f2_asymptotic",
     "fc_sums", "fraunhofer_cs", "inside_solution", "mode_table",
     "outside_basis_at_edge", "penetration_cs", "poisson_stationary_sum",
-    "rainbow_angle", "rainbow_cs", "refined_angle_grid", "xi_phase",
+    "rainbow_angle", "rainbow_cs", "xi_phase",
 ]

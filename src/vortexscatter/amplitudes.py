@@ -11,7 +11,7 @@ The scattered wave splits into four pieces:
           i sin(mu pi)/sqrt(2 pi) * e^{i(floor(mu)+1/2) phi} / sin(phi/2);
     f1    edge-diffraction amplitude, the mode sum
           (i/sqrt(2 pi)) sum_{near} e^{i n phi} P_n  with the flux phase
-          P_n = e^{i(|n| - |n - mu|) pi}  (Fraunhofer peak at phi = 0);
+          P_n = e^{i mu sgn(n - mu) pi}  (Fraunhofer peak at phi = 0);
     f2    penetration amplitude, same sum weighted by the matching
           coefficients c_n of the modes that traverse the vortex;
     f3    far-mode (edge) amplitude, the corresponding sum over modes
@@ -59,15 +59,21 @@ AB = "AB"
 METHOD_TAGS = (EXACT, FRAUNHOFER, PENETRATION, RAINBOW, CLASSICAL, AB)
 
 
-def flux_phase(n, mu: float):
-    """Mode phase factor P_n = e^{i(|n| - |n-mu|) pi}.
+def _half_turns(mu: float) -> complex:
+    """e^{i mu pi} from the reduced flux, (-1)^k e^{i (mu - k) pi} with
+    k = round(mu): mu - k is exact, so the phase keeps full precision at
+    any flux and is exactly real at integer flux."""
+    k = round(mu)
+    arg = (mu - k) * math.pi
+    return (-1.0 if k % 2 else 1.0) * complex(math.cos(arg), math.sin(arg))
 
-    Equals e^{i mu sgn(n - mu) pi} modulo 2 pi for every integer n;
-    accepts scalar or array n.
-    """
-    n = np.asarray(n, dtype=float)
-    arg = (np.abs(n) - np.abs(n - mu)) * math.pi
-    out = np.cos(arg) + 1j * np.sin(arg)
+
+def flux_phase(n, mu: float):
+    """Mode phase factor P_n = e^{i mu sgn(n - mu) pi}, equal to
+    e^{i(|n| - |n - mu|) pi} for every integer n, with sgn(0) = +1;
+    accepts scalar or array n."""
+    e = _half_turns(mu)
+    out = np.where(np.asarray(n) >= mu, e, e.conjugate())
     return out if out.ndim else complex(out)
 
 
@@ -89,7 +95,7 @@ def ab_amplitude(phi, mu: float):
     phi_arr = np.asarray(phi, dtype=float)
     if np.any(phi_arr == 0.0) or np.any(np.abs(phi_arr) >= math.pi):
         raise ValueError("ab_amplitude needs angles in (-pi, pi) excluding 0")
-    pref = 1j * math.sin(mu * math.pi) / SQRT_2PI
+    pref = 1j * _half_turns(mu).imag / SQRT_2PI
     out = pref * np.exp(1j * (math.floor(mu) + 0.5) * phi_arr) / np.sin(phi_arr / 2.0)
     return out if out.ndim else complex(out)
 
@@ -189,15 +195,6 @@ def default_angle_grid(n: int = 2001) -> np.ndarray:
         raise ValueError("need at least 2 grid points")
     h = 2.0 * math.pi / (n + 1)
     return -math.pi + (np.arange(n) + 0.5) * h
-
-
-def refined_angle_grid(center: float, halfwidth: float,
-                       step: float = math.pi / 1e5) -> np.ndarray:
-    """Dense uniform grid around a feature (forward peak, rainbow angle)."""
-    lo = max(center - halfwidth, -math.pi + step)
-    hi = min(center + halfwidth, math.pi - step)
-    n = max(2, int(round((hi - lo) / step)) + 1)
-    return np.linspace(lo, hi, n)
 
 
 @dataclass

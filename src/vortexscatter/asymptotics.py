@@ -55,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from . import specfun
-from .amplitudes import _mode_sum
+from .amplitudes import _mode_sum, flux_phase
 from .radial import VortexParams, _mode_window
 
 _EDGE_TOL = 1e-12  # relative roundoff slack of the edge test |n - mu| <= X
@@ -129,11 +129,10 @@ def deflection(n: float, mu: float, X: float) -> float:
     -sgn(mu) 2 arcsin(2|mu|/X) at the rainbow mode, while for 2|mu| > X it
     is monotone over the allowed window.
     """
-    if mu == 0.0:
-        xi_phase(n, mu, X)  # the same domain error as for mu != 0
-        return 0.0
     n, _, ok, a0, a1, a2 = _edge_angles(n, mu, X)
     _require_allowed(n, ok, mu, X)
+    if mu == 0.0:
+        return np.zeros_like(n)[()]
     return (np.where(n >= 0.0, a2, -a2) - math.copysign(1.0, mu) * a1
             - 2.0 * np.where(n >= mu, a0, -a0))
 
@@ -419,10 +418,7 @@ def f2_asymptotic(phi, mu: float, X: float, mode: str = "direct"):
 
     if mode == "direct":
         n, ok, zeta, xi = _wkb_phases(modes, mu, X)
-        # mu sgn(n - mu) pi: the (|n| - |n - mu|) pi of the stationary phase
-        # modulo 2 pi, without its cancellation at large |n|
-        flux = mu * np.where(n[ok] >= mu, 1.0, -1.0) * math.pi
-        weights = np.exp(1j * (flux + 2.0 * (zeta[ok] - xi[ok])))
+        weights = flux_phase(n[ok], mu) * np.exp(2j * (zeta[ok] - xi[ok]))
         return _like(phi, -_mode_sum(p, n[ok].astype(int), weights))
 
     if mode == "stationary":

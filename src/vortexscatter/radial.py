@@ -312,10 +312,17 @@ def inside_solution(n: int, params: VortexParams) -> InsideSolution:
 
 @dataclass(frozen=True)
 class EdgeBasis:
-    """Outside basis boundary data at x = X for one mode.
+    """Outside basis boundary data at x = X for one mode of order nu.
 
-    Near modes carry the travelling-wave pair (incoming, outgoing); far
-    modes carry the (regular, irregular) power-law pair (J_nu, Y_nu).
+    Far modes (nu > X) carry the (regular, irregular) power-law pair as
+    floats: minus = (J_nu, J_nu'), plus = (Y_nu, Y_nu').  Near modes carry
+    the travelling-wave pair sqrt(pi/2) (J_nu -/+ i Y_nu) and its
+    derivative, normalised so that as x -> infinity
+
+        plus  ~ x^(-1/2) exp(+i (x - nu pi/2 - pi/4))   (outgoing),
+        minus ~ x^(-1/2) exp(-i (x - nu pi/2 - pi/4))   (incoming),
+
+    each the complex conjugate of the other.
     """
 
     regime: str
@@ -326,24 +333,17 @@ class EdgeBasis:
 
 
 def outside_basis_at_edge(n: int, params: VortexParams) -> EdgeBasis:
-    """Values and x-derivatives at x = X of the regime-appropriate basis."""
+    """Values and x-derivatives at x = X of the regime-appropriate basis
+    of mode n, from one :func:`vortexscatter.specfun.cylinder_pairs` call
+    at the order nu = |n - mu|."""
     X = params.X
     nu = abs(n - params.mu)
-    if nu <= X:
-        return EdgeBasis(
-            regime=NEAR,
-            minus_value=specfun.hankel_out(-1, nu, X),
-            minus_deriv=specfun.hankel_out_deriv(-1, nu, X),
-            plus_value=specfun.hankel_out(+1, nu, X),
-            plus_deriv=specfun.hankel_out_deriv(+1, nu, X),
-        )
-    return EdgeBasis(
-        regime=FAR,
-        minus_value=specfun.bessel_j(nu, X),
-        minus_deriv=specfun.bessel_j_deriv(nu, X),
-        plus_value=specfun.bessel_second(nu, X),
-        plus_deriv=specfun.bessel_second_deriv(nu, X),
-    )
+    j, jp, y, yp = (float(a[0]) for a in specfun.cylinder_pairs(np.array([nu]), X))
+    if nu > X:
+        return EdgeBasis(FAR, j, jp, y, yp)
+    pref = math.sqrt(math.pi / 2.0)
+    return EdgeBasis(NEAR, pref * complex(j, -y), pref * complex(jp, -yp),
+                     pref * complex(j, y), pref * complex(jp, yp))
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +414,11 @@ def mode_table(params: VortexParams) -> ModeTable:
     X, mu, kappa = params.X, params.mu, params.kappa
     ic = params.n_max
     n, nu, near = _mode_window(params)
-    if not (nu.max() <= specfun.SUPPORTED_MAX_ORDER and X <= specfun.SUPPORTED_MAX_ARGUMENT):
-        raise SolverFailure(
-            f"X={X}, mu={mu}: orders up to {nu.max():g} at argument {X:g} lie outside "
-            f"the supported range (order <= {specfun.SUPPORTED_MAX_ORDER:g}, "
-            f"argument <= {specfun.SUPPORTED_MAX_ARGUMENT:g})")
     with np.errstate(all="ignore"):
-        j, jp, y, yp = specfun.cylinder_pairs(nu, X)
+        try:
+            j, jp, y, yp = specfun.cylinder_pairs(nu, X)
+        except ValueError as err:
+            raise SolverFailure(f"X={X}, mu={mu}: {err}") from err
         live = near | (np.isfinite(y) & np.isfinite(yp))
         if math.isinf(kappa):
             p, q = j, y

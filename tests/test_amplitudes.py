@@ -30,6 +30,22 @@ def test_flux_phase_equivalence():
             assert abs(lhs - rhs) < 1e-12
 
 
+@pytest.mark.parametrize("mu", [0.3, -3.3, -70.3, 250.5, 720.37, 1e6 + 0.25])
+def test_flux_phase_matches_mpmath(mu):
+    # e^{i mu sgn(n - mu) pi} to 40 digits over |n| <= 700: the reduced flux
+    # keeps full precision where (|n| - |n - mu|) pi lost up to 3.4e-13
+    # (3.6e-10 at mu = 1e6 + 0.25); worst measured 7.9e-17
+    import mpmath
+
+    n = np.arange(-700, 701)
+    got = amp.flux_phase(n, mu)
+    with mpmath.workdps(40):
+        e = mpmath.expjpi(mu)
+        for k, g in zip(n.tolist(), got.tolist()):
+            ref = e if k >= mu else mpmath.conj(e)
+            assert abs(mpmath.mpc(g) - ref) <= 2e-16, (k, mu)
+
+
 # ---------------------------------------------------------------------------
 # flux-line amplitude
 # ---------------------------------------------------------------------------
@@ -38,6 +54,11 @@ def test_ab_amplitude_integer_flux_vanishes():
     for phi in (0.3, -1.2, 2.9):
         assert abs(amp.ab_amplitude(phi, 1.0)) < 1e-15
         assert abs(amp.ab_amplitude(phi, -2.0)) < 1e-15
+    # exactly, at any integer flux: sin(mu pi) of the unreduced flux gave
+    # 2.1e-13 at mu = -250 and 6e-10 at mu = 1e6
+    phi = np.array([0.3, -1.2, 2.9])
+    for mu in (100.0, -250.0, 1e6):
+        assert (np.abs(amp.ab_amplitude(phi, mu)) == 0.0).all()
 
 
 def test_ab_amplitude_backscattering_half_quantum():
@@ -224,7 +245,7 @@ def test_fc_sums_memory_is_one_block_of_angles():
     # 12.7k-angle refined grid the sums must not hold a modes x angles matrix
     p = VortexParams(X=200.0, mu=20.3, kappa=0.0)
     tab = mode_table(p)
-    g = amp.refined_angle_grid(0.0, 0.2)
+    g = np.linspace(-0.2, 0.2, 12733)  # angle step pi/1e5
     tracemalloc.start()
     try:
         amp.fc_sums(g, p, tab)

@@ -203,6 +203,12 @@ def test_wkb_phases_match_mpmath_at_every_flux(X):
 def test_deflection_free_field_is_zero():
     for n in (-5, 0, 9):
         assert deflection(n, 0.0, 20.0) == 0.0
+    # an array of n gives an array, and a mode beyond the edge is refused
+    # with the error of mu != 0
+    n = np.array([-5, 0, 9, 20])
+    assert np.array_equal(deflection(n, 0.0, 20.0), np.zeros(4))
+    with pytest.raises(ForbiddenModeError):
+        deflection(np.array([0, 21]), 0.0, 20.0)
 
 
 def test_deflection_matches_central_differences():

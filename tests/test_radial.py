@@ -19,15 +19,19 @@ from vortexscatter.radial import (
 )
 
 
+def cylinder_functions(nu, x):
+    """(J, J', Y, Y') at one order as floats."""
+    return [float(a[0]) for a in specfun.cylinder_pairs(np.array([nu]), x)]
+
+
 def match_coefficient(n, params, inside=None):
-    """Scalar oracle for one mode of the table: four scalar cylinder-function
-    calls and CPython complex arithmetic, with the table's Dirichlet limit
+    """Scalar oracle for one mode of the table: the cylinder functions of its
+    one order and CPython complex arithmetic, with the table's Dirichlet limit
     and its rule that a far mode whose irregular member overflows is free.
     ``inside`` replaces the interior pair (for the scale-invariance check)."""
     X, nu = params.X, abs(n - params.mu)
     near = nu <= X
-    j, jp = specfun.bessel_j(nu, X), specfun.bessel_j_deriv(nu, X)
-    y, yp = specfun.bessel_second(nu, X), specfun.bessel_second_deriv(nu, X)
+    j, jp, y, yp = cylinder_functions(nu, X)
     if not near and not (math.isfinite(y) and math.isfinite(yp)):
         return ModeMatch(n=n, nu=nu, regime=FAR, c_n=0j, s_n=1 + 0j, b_ratio=0j)
     if math.isinf(params.kappa):
@@ -90,7 +94,7 @@ def test_interior_free_field_is_regular_cylinder_function():
     # so the boundary pair must be proportional to (J_n, J_n')
     p = VortexParams(X=5.0, mu=0.0)
     sol = inside_solution(0, p)
-    j, jp = specfun.bessel_j(0.0, 5.0), specfun.bessel_j_deriv(0.0, 5.0)
+    j, jp, _, _ = cylinder_functions(0.0, 5.0)
     cross = sol.value * jp - sol.derivative * j
     scale = math.hypot(sol.value, sol.derivative) * math.hypot(j, jp)
     assert abs(cross) <= 1e-9 * scale
@@ -162,14 +166,21 @@ def test_outside_basis_near_delegates_to_hankel():
     p = VortexParams(X=10.0, mu=0.0)
     basis = outside_basis_at_edge(0, p)
     assert basis.regime == NEAR
-    assert basis.plus_value == specfun.hankel_out(+1, 0.0, 10.0)
-    assert basis.minus_deriv == specfun.hankel_out_deriv(-1, 0.0, 10.0)
+    # sqrt(pi/2) (J +/- i Y) and its derivative, bit for bit
+    j, jp, y, yp = cylinder_functions(0.0, 10.0)
+    pref = math.sqrt(math.pi / 2.0)
+    assert basis.plus_value == pref * complex(j, y)
+    assert basis.minus_value == pref * complex(j, -y)
+    assert basis.plus_deriv == pref * complex(jp, yp)
+    assert basis.minus_deriv == pref * complex(jp, -yp)
 
 
 def test_outside_basis_far_wronskian_pair():
     p = VortexParams(X=10.0, mu=0.6)
     basis = outside_basis_at_edge(13, p)  # nu = 12.4 > X
     assert basis.regime == FAR
+    fields = (basis.minus_value, basis.minus_deriv, basis.plus_value, basis.plus_deriv)
+    assert list(fields) == cylinder_functions(abs(13 - 0.6), 10.0)  # (J, J', Y, Y')
     assert abs(basis.minus_value) < 0.1 < abs(basis.plus_value)
     w = (basis.minus_value * basis.plus_deriv - basis.plus_value * basis.minus_deriv)
     assert w.real == pytest.approx(2.0 / (math.pi * 10.0), rel=1e-9)
@@ -180,7 +191,7 @@ def test_outside_basis_near_recombination():
     p = VortexParams(X=50.0, mu=0.8)
     basis = outside_basis_at_edge(4, p)  # nu = 3.2
     j = (basis.plus_value + basis.minus_value) / (2.0 * math.sqrt(math.pi / 2.0))
-    assert j.real == pytest.approx(specfun.bessel_j(3.2, 50.0), rel=1e-9)
+    assert j.real == pytest.approx(cylinder_functions(abs(4 - 0.8), 50.0)[0], rel=1e-9)
     assert abs(j.imag) < 1e-15
 
 

@@ -1,5 +1,7 @@
-"""Special-function layer: oracle checks against power series, quadrature
-of integral representations and closed half-integer forms."""
+"""Special-function layer: oracle checks of ``cylinder_pairs`` and ``airy_ai``
+against mpmath, power series, quadrature of integral representations and
+closed half-integer forms, and the travelling-wave normalisation of the
+near edge basis built from the pairs."""
 
 import math
 
@@ -9,6 +11,7 @@ from scipy.integrate import quad
 from scipy.special import airy
 
 from vortexscatter import specfun
+from vortexscatter.radial import NEAR, VortexParams, outside_basis_at_edge
 
 
 # ---------------------------------------------------------------------------
@@ -53,47 +56,40 @@ def quad_airy(y):
     return val / math.pi
 
 
+def cyl(nu, x):
+    """(J, J', Y, Y') at one order as floats, from :func:`specfun.cylinder_pairs`."""
+    return [float(a[0]) for a in specfun.cylinder_pairs(np.array([float(nu)]), x)]
+
+
 # ---------------------------------------------------------------------------
 # regular member
 # ---------------------------------------------------------------------------
 
 def test_bessel_j_small_argument_limit():
-    assert specfun.bessel_j(0.0, 1e-10) == pytest.approx(1.0, abs=1e-12)
+    assert cyl(0.0, 1e-10)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bessel_j_half_integer_closed_form():
     # J_{1/2}(x) = sqrt(2/(pi x)) sin x; at x = pi/2 this is 2/pi
-    assert specfun.bessel_j(0.5, math.pi / 2) == pytest.approx(2.0 / math.pi, rel=1e-10)
+    assert cyl(0.5, math.pi / 2)[0] == pytest.approx(2.0 / math.pi, rel=1e-10)
 
 
 def test_bessel_j_against_series():
     # points inside the series' convergence range (cancellation below
     # ~3e-12 of the result; the alternating series degrades beyond x ~ 15)
     for nu, x in [(5.3, 10.0), (0.0, 3.0), (2.0, 7.5), (11.7, 14.0), (0.25, 8.0)]:
-        assert specfun.bessel_j(nu, x) == pytest.approx(series_bessel_j(nu, x), rel=1e-10)
+        assert cyl(nu, x)[0] == pytest.approx(series_bessel_j(nu, x), rel=1e-10)
 
 
 def test_bessel_j_domain_errors():
-    with pytest.raises(ValueError):
-        specfun.bessel_j(1.0, 0.0)
-    with pytest.raises(ValueError):
-        specfun.bessel_j(1.0, -2.0)
-    with pytest.raises(ValueError):
-        specfun.bessel_j(specfun.SUPPORTED_MAX_ORDER + 1.0, 10.0)
-    with pytest.raises(ValueError):
-        specfun.bessel_j(1.0, 1001.0)
+    for nu, x in ((1.0, 0.0), (1.0, -2.0), (specfun.SUPPORTED_MAX_ORDER + 1.0, 10.0),
+                  (1.0, 1001.0), (-0.5, 10.0)):
+        with pytest.raises(ValueError):
+            cyl(nu, x)
     # an array of orders is checked as a whole
-    with pytest.raises(ValueError):
-        specfun.bessel_second(np.array([3.0, specfun.SUPPORTED_MAX_ORDER + 1.0]), 10.0)
-
-
-def test_cylinder_functions_on_order_arrays_equal_scalar_calls():
-    nus = np.array([0.0, 0.37, 12.6, 999.37, 1040.0, 1146.0])
-    for fn in (specfun.bessel_j, specfun.bessel_j_deriv,
-               specfun.bessel_second, specfun.bessel_second_deriv):
-        got = fn(nus, 1000.0)
-        assert isinstance(fn(0.37, 1000.0), float)
-        assert got.tolist() == [fn(float(nu), 1000.0) for nu in nus]
+    for nu in ([3.0, specfun.SUPPORTED_MAX_ORDER + 1.0], [-0.5, 1.0]):
+        with pytest.raises(ValueError):
+            specfun.cylinder_pairs(np.array(nu), 10.0)
 
 
 def test_large_orders_against_mpmath():
@@ -104,11 +100,11 @@ def test_large_orders_against_mpmath():
 
     with mpmath.workdps(30):
         for x in (480.0, 1000.0):
-            for nu in x - 40.0 + 10.0 * np.arange(21) + 0.3:
-                j = float(mpmath.besselj(nu, x))
-                y = float(mpmath.bessely(nu, x))
-                assert specfun.bessel_j(nu, x) == pytest.approx(j, rel=1e-12), (nu, x)
-                assert specfun.bessel_second(nu, x) == pytest.approx(y, rel=1e-12), (nu, x)
+            nus = x - 40.0 + 10.0 * np.arange(21) + 0.3
+            j, _, y, _ = specfun.cylinder_pairs(nus, x)
+            for i, nu in enumerate(nus):
+                assert j[i] == pytest.approx(float(mpmath.besselj(nu, x)), rel=1e-12), (nu, x)
+                assert y[i] == pytest.approx(float(mpmath.bessely(nu, x)), rel=1e-12), (nu, x)
 
 
 @pytest.mark.parametrize("x", [30.0, 100.0, 200.0, 480.0])
@@ -122,25 +118,13 @@ def test_derivative_recurrence_against_mpmath(x):
 
     nus = np.concatenate([np.linspace(0.0, 1.95, 14),
                           np.linspace(x - 3.0 * x ** (1 / 3), x + 12.0 * x ** (1 / 3), 41)])
+    _, jp, _, yp = specfun.cylinder_pairs(nus, x)
     with mpmath.workdps(30):
-        for deriv, fn in ((specfun.bessel_j_deriv, mpmath.besselj),
-                          (specfun.bessel_second_deriv, mpmath.bessely)):
-            for nu in nus:
+        for name, deriv, fn in (("J'", jp, mpmath.besselj), ("Y'", yp, mpmath.bessely)):
+            for nu, got in zip(nus, deriv):
                 ref = float(fn(nu, x, derivative=1))
                 scale = abs(float(fn(nu, x))) + abs(ref)
-                assert abs(deriv(float(nu), x) - ref) <= 3e-13 * scale, (deriv.__name__, nu, x)
-
-
-def test_cylinder_pairs_equal_the_single_functions():
-    # one J and one Y evaluation over the distinct orders of nu and nu - 1
-    # give the same bits as the four single functions, duplicates included
-    nus = np.array([0.0, 0.37, 1.0, 1.37, 2.0, 12.6, 999.37, 1040.0, 1146.0])
-    pairs = specfun.cylinder_pairs(nus, 1000.0)
-    for fn, got in zip((specfun.bessel_j, specfun.bessel_j_deriv,
-                        specfun.bessel_second, specfun.bessel_second_deriv), pairs):
-        assert got.tolist() == fn(nus, 1000.0).tolist()
-    with pytest.raises(ValueError):
-        specfun.cylinder_pairs(np.array([-0.5, 1.0]), 10.0)
+                assert abs(got - ref) <= 3e-13 * scale, (name, nu, x)
 
 
 # ---------------------------------------------------------------------------
@@ -151,20 +135,17 @@ def test_bessel_second_half_integer_closed_form():
     # companion of order 1/2 is -sqrt(2/(pi x)) cos x; at x = pi the
     # closed form gives +sqrt(2)/pi
     expected = math.sqrt(2.0) / math.pi
-    assert specfun.bessel_second(0.5, math.pi) == pytest.approx(expected, rel=1e-10)
+    assert cyl(0.5, math.pi)[2] == pytest.approx(expected, rel=1e-10)
 
 
 def test_bessel_second_integer_order_quadrature_oracle():
-    assert specfun.bessel_second(3.0, 4.0) == pytest.approx(
-        quad_bessel_second_integer(3, 4.0), rel=1e-9)
+    assert cyl(3.0, 4.0)[2] == pytest.approx(quad_bessel_second_integer(3, 4.0), rel=1e-9)
 
 
 def test_wronskian_identity_spot():
     # J Y' - Y J' = 2/(pi x)
-    nu, x = 2.7, 5.0
-    w = (specfun.bessel_j(nu, x) * specfun.bessel_second_deriv(nu, x)
-         - specfun.bessel_second(nu, x) * specfun.bessel_j_deriv(nu, x))
-    assert w == pytest.approx(2.0 / (math.pi * x), rel=1e-10)
+    j, jp, y, yp = cyl(2.7, 5.0)
+    assert j * yp - y * jp == pytest.approx(2.0 / (math.pi * 5.0), rel=1e-10)
 
 
 def test_wronskian_identity_grid():
@@ -173,14 +154,21 @@ def test_wronskian_identity_grid():
     nus = rng.uniform(0.0, 60.0, 200)
     xs = rng.uniform(0.5, 300.0, 200)
     for nu, x in zip(nus, xs):
-        w = (specfun.bessel_j(nu, x) * specfun.bessel_second_deriv(nu, x)
-             - specfun.bessel_second(nu, x) * specfun.bessel_j_deriv(nu, x))
-        assert abs(w - 2.0 / (math.pi * x)) <= 1e-9 * abs(2.0 / (math.pi * x))
+        j, jp, y, yp = cyl(nu, x)
+        assert abs(j * yp - y * jp - 2.0 / (math.pi * x)) <= 1e-9 * abs(2.0 / (math.pi * x))
 
 
 # ---------------------------------------------------------------------------
-# travelling waves
+# travelling waves: the near basis sqrt(pi/2) (J -/+ i Y) that
+# radial.outside_basis_at_edge builds from these pairs
 # ---------------------------------------------------------------------------
+
+def near_basis(nu, x):
+    """Near basis of mode n = 0 at flux mu = -nu, whose order is exactly nu."""
+    basis = outside_basis_at_edge(0, VortexParams(X=x, mu=-nu))
+    assert basis.regime == NEAR
+    return basis
+
 
 def _unit_phase(phase):
     return complex(math.cos(phase), math.sin(phase))
@@ -189,24 +177,26 @@ def _unit_phase(phase):
 def test_hankel_out_asymptotic_phase():
     # ~ x^(-1/2) exp(+-i(x - nu pi/2 - pi/4)) at large x
     nu, x = 0.5, 200.0
-    h = specfun.hankel_out(+1, nu, x)
+    basis = near_basis(nu, x)
     ref = _unit_phase(x - nu * math.pi / 2 - math.pi / 4) / math.sqrt(x)
-    assert abs(h - ref) <= 1e-6 * abs(ref)
+    assert abs(basis.plus_value - ref) <= 1e-6 * abs(ref)
+    assert abs(basis.minus_value - ref.conjugate()) <= 1e-6 * abs(ref)
 
 
 def test_hankel_out_conjugation():
     for nu, x in [(0.3, 5.0), (7.7, 12.0), (2.0, 40.0)]:
-        hp = specfun.hankel_out(+1, nu, x)
-        hm = specfun.hankel_out(-1, nu, x)
-        assert hm == hp.conjugate()
+        basis = near_basis(nu, x)
+        assert basis.minus_value == basis.plus_value.conjugate()
+        assert basis.minus_deriv == basis.plus_deriv.conjugate()
 
 
 def test_hankel_out_recombination():
     # equals sqrt(pi/2) (J + i Y) in the chosen normalisation
     nu, x = 2.3, 7.0
-    expected = math.sqrt(math.pi / 2) * complex(
-        specfun.bessel_j(nu, x), specfun.bessel_second(nu, x))
-    assert specfun.hankel_out(+1, nu, x) == pytest.approx(expected)
+    j, jp, y, yp = cyl(nu, x)
+    basis = near_basis(nu, x)
+    assert basis.plus_value == pytest.approx(math.sqrt(math.pi / 2) * complex(j, y))
+    assert basis.plus_deriv == pytest.approx(math.sqrt(math.pi / 2) * complex(jp, yp))
 
 
 def test_hankel_phase_law_convergence():
@@ -216,16 +206,11 @@ def test_hankel_phase_law_convergence():
     nu = 3.2
     errs = []
     for x in (50.0, 200.0, 800.0):
-        h = specfun.hankel_out(+1, nu, x)
+        h = near_basis(nu, x).plus_value
         d = cmath.phase(h / _unit_phase(x - nu * math.pi / 2 - math.pi / 4))
         errs.append(abs(d))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] <= 1.1 * (4.0 * nu * nu - 1.0) / (8.0 * 800.0)
-
-
-def test_hankel_kind_validation():
-    with pytest.raises(ValueError):
-        specfun.hankel_out(2, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
