@@ -35,10 +35,8 @@ from .asymptotics import (
     poisson_stationary_sum,
     rainbow_angle,
     rainbow_cs,
-    xi_phase,
 )
 from .radial import (
-    InsideSolution,
     ModeMatch,
     ModeTable,
     SolverFailure,
@@ -52,11 +50,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AB", "CLASSICAL", "EXACT", "FRAUNHOFER", "METHOD_TAGS", "PENETRATION",
-    "RAINBOW", "CrossSectionCurve", "ForbiddenModeError", "InsideSolution",
-    "ModeMatch", "ModeTable", "SolverFailure", "StationaryPhaseReport",
-    "VortexParams", "ab_amplitude", "classical_cs", "cross_section_curve",
+    "RAINBOW", "CrossSectionCurve", "ForbiddenModeError", "ModeMatch",
+    "ModeTable", "SolverFailure", "StationaryPhaseReport", "VortexParams",
+    "ab_amplitude", "classical_cs", "cross_section_curve",
     "default_angle_grid", "deflection", "f1_sum", "f2_asymptotic",
     "fc_sums", "fraunhofer_cs", "inside_solution", "mode_table",
     "outside_basis_at_edge", "penetration_cs", "poisson_stationary_sum",
-    "rainbow_angle", "rainbow_cs", "xi_phase",
+    "rainbow_angle", "rainbow_cs",
 ]

@@ -95,22 +95,6 @@ def _require_allowed(n: np.ndarray, ok: np.ndarray, mu: float, X: float) -> None
         raise ForbiddenModeError(f"mode n={n[~ok][0]}: no classical path to the edge (mu={mu}, X={X})")
 
 
-def xi_phase(n, mu: float, X: float):
-    """Outside WKB phase at the edge,
-    xi = sqrt(X^2 - nu^2) - nu arccos(nu/X), nu = |n - mu|; accepts arrays.
-
-    Raises
-    ------
-    ValueError
-        If nu > X (turning point outside the vortex).
-    """
-    n, W, _, a0, _, _ = _edge_angles(n, mu, X)
-    nu = np.abs(n - mu)
-    if (nu > X * (1.0 + _EDGE_TOL)).any():
-        raise ValueError(f"mode order nu={nu.max()} exceeds the radius X={X}")
-    return W - nu * a0
-
-
 def _wkb_phases(n, mu: float, X: float):
     """n as a float array, the edge mask of :func:`_edge_angles`, and the
     inside and outside phases zeta_n and xi_n (placeholders off the mask);
@@ -410,10 +394,11 @@ def f2_asymptotic(phi, mu: float, X: float, mode: str = "direct"):
         raise ValueError("penetration asymptotics need mu != 0")
     if p.ndim > 1 or not ((0.0 < np.abs(p)) & (np.abs(p) < math.pi)).all():
         raise ValueError("phi must be a scalar or 1-d array in (-pi, pi), excluding 0")
-    if X < 10.0:
+    params = VortexParams(X, mu)
+    if not params.is_large_radius:
         raise ValueError("short-wavelength asymptotics need X >= 10")
 
-    modes, _, near = _mode_window(VortexParams(X, mu))
+    modes, _, near = _mode_window(params)
     modes = modes[near]
 
     if mode == "direct":

@@ -224,8 +224,12 @@ def compare_report(scenario: Scenario, max_l2: float | None = None,
     unitarity defect, the f1/f2 interference residual (relative L2 over
     angles outside the forward peak, |phi| > 5/X) and the spin-flip
     curve difference.  Configured tolerances add failure entries; the
-    CLI maps those to exit code 1.
+    CLI maps those to exit code 1.  A tolerance must be a number >= 0
+    (inf sets no limit): NaN would compare false and pass everything.
     """
+    for flag, tol in (("--max-l2", max_l2), ("--max-unitarity", max_unitarity)):
+        if tol is not None and not tol >= 0.0:
+            raise ValueError(f"{flag} must be >= 0 (inf for no limit), got {tol}")
     methods = [m for m in scenario.methods if m != amp.EXACT]
     if amp.EXACT not in scenario.methods or not methods:
         raise ValueError("compare needs the Exact method plus at least one other")
@@ -345,8 +349,9 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--steps", type=int, default=None)
     r.add_argument("--method", action="append", default=None)
     r.add_argument("--max-l2", type=float, default=None,
-                   help="fail (exit 1) if any method's rel L2 exceeds this")
-    r.add_argument("--max-unitarity", type=float, default=None)
+                   help="fail (exit 1) if any method's rel L2 exceeds this (>= 0, inf for no limit)")
+    r.add_argument("--max-unitarity", type=float, default=None,
+                   help="fail (exit 1) if the worst ||s_n|-1| exceeds this (>= 0, inf for no limit)")
     return p
 
 

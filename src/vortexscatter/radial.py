@@ -37,12 +37,14 @@ from which  s_n = -(p - i q)/(p + i q)  exactly, in every regime.
 The physics of a scenario sits at n ~ mu, so :func:`mode_table` matches
 the window round(mu) - n_max <= n <= round(mu) + n_max, where every order
 is at most n_max + 1/2, in one vectorised pass over arrays of modes.  Its
-:class:`ModeTable` holds n, nu, the near mask, c_n, s_n and b_ratio as
-arrays.  Far modes decay under the barrier; past three consecutive far
-modes with |c_n| < 1e-14 on each side the table holds their free values.
-A window too narrow for that cutoff, or outside the cylinder functions'
-range, raises :class:`SolverFailure`; the table is never truncated
-silently.
+:class:`ModeTable` holds n, nu, the near mask, c_n and s_n as arrays.
+Far modes decay under the barrier; past three consecutive far modes with
+|c_n| < 1e-14 on each side the table holds their free values.  A window
+too narrow for that cutoff, or outside the cylinder functions' range,
+raises :class:`SolverFailure`; the table is never truncated silently.
+:func:`inside_solution` and :func:`outside_basis_at_edge` give one mode's
+edge data, (tau, tau') and (J, J', Y, Y'), as the plain float tuples
+that the table matches.
 """
 
 from __future__ import annotations
@@ -135,19 +137,6 @@ def _mode_window(params: VortexParams) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 @dataclass(frozen=True)
-class InsideSolution:
-    """Boundary data of the regular interior solution at x = X.
-
-    The overall scale is arbitrary (every downstream quantity is a ratio);
-    the stored pair (tau(X), tau'(X)) has unit length and the sign of
-    tau(X).
-    """
-
-    value: float
-    derivative: float
-
-
-@dataclass(frozen=True)
 class ModeMatch:
     """One row of a :class:`ModeTable`: the matching result of mode n."""
 
@@ -156,7 +145,6 @@ class ModeMatch:
     regime: str
     c_n: complex
     s_n: complex
-    b_ratio: complex
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +269,14 @@ def _interior_cutoff(params: VortexParams) -> int:
     return params.n_max + abs(round(params.mu))
 
 
-def inside_solution(n: int, params: VortexParams) -> InsideSolution:
-    """Regular interior solution of mode n, as boundary data at x = X.
+# ---------------------------------------------------------------------------
+# edge data of one mode
+# ---------------------------------------------------------------------------
 
-    Parameters
-    ----------
-    n : int
-        Angular momentum index, |n| <= params.n_max + |round(params.mu)|.
-    params : VortexParams
-
-    Returns
-    -------
-    InsideSolution
-        Unit-normalised pair (tau(X), tau'(X)), with the sign of tau(X).
+def inside_solution(n: int, params: VortexParams) -> tuple[float, float]:
+    """Edge data (tau(X), tau'(X)) of the regular interior solution of
+    mode n, |n| <= params.n_max + |round(params.mu)|: the unit-normalised
+    pair, with the sign of tau(X), that :func:`mode_table` matches.
 
     Raises
     ------
@@ -304,46 +287,15 @@ def inside_solution(n: int, params: VortexParams) -> InsideSolution:
     if abs(n) > nm:
         raise ValueError(f"|n|={abs(n)} exceeds the mode cutoff {nm}")
     v, d = _interior_edge_table(params.X, params.mu, params.sigma, nm)
-    return InsideSolution(value=float(v[n + nm]), derivative=float(d[n + nm]))
-
-# ---------------------------------------------------------------------------
-# outside basis and matching
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EdgeBasis:
-    """Outside basis boundary data at x = X for one mode of order nu.
-
-    Far modes (nu > X) carry the (regular, irregular) power-law pair as
-    floats: minus = (J_nu, J_nu'), plus = (Y_nu, Y_nu').  Near modes carry
-    the travelling-wave pair sqrt(pi/2) (J_nu -/+ i Y_nu) and its
-    derivative, normalised so that as x -> infinity
-
-        plus  ~ x^(-1/2) exp(+i (x - nu pi/2 - pi/4))   (outgoing),
-        minus ~ x^(-1/2) exp(-i (x - nu pi/2 - pi/4))   (incoming),
-
-    each the complex conjugate of the other.
-    """
-
-    regime: str
-    minus_value: complex
-    minus_deriv: complex
-    plus_value: complex
-    plus_deriv: complex
+    return float(v[n + nm]), float(d[n + nm])
 
 
-def outside_basis_at_edge(n: int, params: VortexParams) -> EdgeBasis:
-    """Values and x-derivatives at x = X of the regime-appropriate basis
-    of mode n, from one :func:`vortexscatter.specfun.cylinder_pairs` call
-    at the order nu = |n - mu|."""
-    X = params.X
+def outside_basis_at_edge(n: int, params: VortexParams) -> tuple[float, float, float, float]:
+    """Edge data (J, J', Y, Y') at x = X and order nu = |n - mu| of the
+    outside pair that :func:`mode_table` matches, from one
+    :func:`vortexscatter.specfun.cylinder_pairs` call."""
     nu = abs(n - params.mu)
-    j, jp, y, yp = (float(a[0]) for a in specfun.cylinder_pairs(np.array([nu]), X))
-    if nu > X:
-        return EdgeBasis(FAR, j, jp, y, yp)
-    pref = math.sqrt(math.pi / 2.0)
-    return EdgeBasis(NEAR, pref * complex(j, -y), pref * complex(jp, -yp),
-                     pref * complex(j, y), pref * complex(jp, yp))
+    return tuple(float(a[0]) for a in specfun.cylinder_pairs(np.array([nu]), params.X))
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +308,9 @@ class ModeTable:
     round(mu) + n_max], as read-only arrays in index order.
 
     ``c_n`` is the coefficient of the outgoing wave in the scattered part
-    (module docstring): -s_n for near modes, 1 - s_n for far modes.
-    ``b_ratio`` is the interior coefficient b_n/a_n of the edge-normalised
-    interior solution (value^2 + derivative^2 = 1), which makes it
-    invariant under rescaling of that solution.  Far modes past the tail
-    cutoff hold the free values c_n = 0, s_n = 1, b_ratio = 0 exactly.
+    (module docstring): -s_n for near modes, 1 - s_n for far modes.  Far
+    modes past the tail cutoff hold the free values c_n = 0, s_n = 1
+    exactly.
     ``len``, indexing and iteration give :class:`ModeMatch` rows.
     """
 
@@ -370,14 +320,13 @@ class ModeTable:
     near: np.ndarray
     c_n: np.ndarray
     s_n: np.ndarray
-    b_ratio: np.ndarray
 
     def __len__(self) -> int:
         return len(self.n)
 
     def __getitem__(self, i: int) -> ModeMatch:
         return ModeMatch(int(self.n[i]), float(self.nu[i]), NEAR if self.near[i] else FAR,
-                         complex(self.c_n[i]), complex(self.s_n[i]), complex(self.b_ratio[i]))
+                         complex(self.c_n[i]), complex(self.s_n[i]))
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -399,8 +348,7 @@ def mode_table(params: VortexParams) -> ModeTable:
     irregular member overflows double precision sits so deep under the
     barrier that its coupling is exactly zero.  For kappa = +-inf the
     Dirichlet limit is taken exactly: the interior drops out of c_n and
-    s_n, and b_ratio is 0.  The table is deterministic, and the last 8
-    tables are cached.
+    s_n.  The table is deterministic, and the last 8 tables are cached.
 
     Raises
     ------
@@ -431,10 +379,6 @@ def mode_table(params: VortexParams) -> ModeTable:
         den = p + 1j * q
         s_n = -np.conj(den) / den
         c_n = np.where(near, -s_n, 2.0 * p / den)  # far: 1 - s_n without cancellation
-        if math.isinf(kappa):
-            b_ratio = np.zeros(len(n), complex)
-        else:
-            b_ratio = (-2.0j / X) / (math.sqrt(math.pi / 2.0) * den / np.hypot(tv, td))
     c_n[~live] = 0.0
     tiny = ~near & (np.abs(c_n) < _TAIL_EPS)
     run = tiny[:-2] & tiny[1:-1] & tiny[2:]  # modes i, i+1, i+2 all tiny
@@ -451,5 +395,5 @@ def mode_table(params: VortexParams) -> ModeTable:
             f"degenerate or non-finite matching denominator for mode n={n[bad[0]]} "
             f"at X={X}, mu={mu} (interior resonance at these parameters)")
     free = ~(kept & live)
-    c_n[free], s_n[free], b_ratio[free] = 0.0, 1.0, 0.0
-    return ModeTable(params, *map(_frozen, (n, nu, near, c_n, s_n, b_ratio)))
+    c_n[free], s_n[free] = 0.0, 1.0
+    return ModeTable(params, *map(_frozen, (n, nu, near, c_n, s_n)))

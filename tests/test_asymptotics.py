@@ -27,7 +27,6 @@ from vortexscatter.asymptotics import (
     rainbow_angle,
     rainbow_cs,
     rainbow_window_halfwidth,
-    xi_phase,
 )
 from vortexscatter.radial import VortexParams, _mode_window
 
@@ -50,22 +49,28 @@ def quad_xi(n, mu, X):
     return val
 
 
+def xi_closed(n, mu, X):
+    """xi_n of one mode that reaches the edge, from the package's array pass;
+    at mu = 0, where that pass divides by |mu|, W - |nu| a0 from its edge
+    angles."""
+    if mu != 0.0:
+        return wkb(n, mu, X)[1]
+    _, W, ok, a0, _, _ = asy._edge_angles(n, mu, X)
+    assert ok
+    return float(W - abs(n) * a0)
+
+
 def test_xi_trivial_values():
-    assert xi_phase(0.7, 0.7, 20.0) == pytest.approx(20.0)
-    assert xi_phase(10.7, 0.7, 10.0) == pytest.approx(0.0, abs=1e-12)
+    assert xi_closed(0.7, 0.7, 20.0) == pytest.approx(20.0)
+    assert xi_closed(10.7, 0.7, 10.0) == pytest.approx(0.0, abs=1e-12)
     # nu = X/2 has the closed value X (sqrt(3)/2 - pi/6)
     X = 14.0
-    assert xi_phase(X / 2, 0.0, X) == pytest.approx(X * (math.sqrt(3) / 2 - math.pi / 6), rel=1e-12)
+    assert xi_closed(X / 2, 0.0, X) == pytest.approx(X * (math.sqrt(3) / 2 - math.pi / 6), rel=1e-12)
 
 
 def test_xi_against_quadrature():
-    for n, mu, X in [(3, 0.5, 20.0), (-7, 0.2, 12.0), (40, 2.0, 60.0)]:
-        assert xi_phase(n, mu, X) == pytest.approx(quad_xi(n, mu, X), abs=1e-9)
-
-
-def test_xi_domain_error():
-    with pytest.raises(ValueError):
-        xi_phase(15.0, 0.0, 10.0)
+    for n, mu, X in [(3, 0.5, 20.0), (-7, 0.2, 12.0), (40, 2.0, 60.0), (5, 0.0, 12.0)]:
+        assert xi_closed(n, mu, X) == pytest.approx(quad_xi(n, mu, X), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +121,13 @@ def test_zeta_closed_vs_quadrature():
     cases = [(3, 0.5, 20.0), (0, 2.0, 20.0), (10, 10.0, 100.0), (-5, 3.0, 30.0),
              (25, 25.0, 100.0), (3, -2.0, 20.0), (-3, -5.0, 40.0), (7, 1.3, 25.0)]
     for n, mu, X in cases:
-        zeta, xi = wkb(n, mu, X)
-        assert zeta == pytest.approx(quad_zeta(n, mu, X), abs=1e-8)
-        assert xi == pytest.approx(xi_phase(n, mu, X))
+        assert wkb(n, mu, X)[0] == pytest.approx(quad_zeta(n, mu, X), abs=1e-8)
 
 
 def test_zeta_small_flux_limit_is_xi():
     # numeric limit scan: zeta -> xi as the flux vanishes
     n, X = 3, 20.0
-    errs = [abs(wkb(n, mu, X)[0] - xi_phase(n, 0.0, X))
+    errs = [abs(wkb(n, mu, X)[0] - xi_closed(n, 0.0, X))
             for mu in (1e-2, 1e-3, 1e-4)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-3
@@ -162,7 +165,7 @@ def test_zeta_forbidden_mode():
         with pytest.raises(ForbiddenModeError):
             deflection(n, mu, X)
     with pytest.raises(ValueError):
-        deflection(40.0, 0.0, 30.0)  # the free field: xi's domain error
+        deflection(40.0, 0.0, 30.0)  # the free field, by the same edge test
 
 
 def mp_wkb_phases(n, mu, X):
@@ -216,8 +219,8 @@ def test_deflection_matches_central_differences():
     # phase picks up an exact 2 pi slope jump and is not differentiable
     h = 1e-5
     for n, mu, X in [(3, 0.5, 20.0), (-12, 5.0, 40.0), (20.0, 25.0, 100.0), (7, -2.0, 30.0)]:
-        fd = (2.0 * (xi_phase(n + h, mu, X) - wkb(n + h, mu, X)[0])
-              - 2.0 * (xi_phase(n - h, mu, X) - wkb(n - h, mu, X)[0])) / (2 * h)
+        (zeta_hi, xi_hi), (zeta_lo, xi_lo) = wkb(n + h, mu, X), wkb(n - h, mu, X)
+        fd = (2.0 * (xi_hi - zeta_hi) - 2.0 * (xi_lo - zeta_lo)) / (2 * h)
         assert deflection(n, mu, X) == pytest.approx(fd, abs=1e-6)
 
 
@@ -541,6 +544,14 @@ def test_bracketed_roots_refuses_bad_brackets_and_reports_no_convergence():
 # ---------------------------------------------------------------------------
 # penetration amplitude from phases
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["direct", "stationary"])
+def test_f2_refuses_a_radius_below_ten(mode):
+    # the bound of VortexParams.is_large_radius, which the CLI warns on
+    assert VortexParams(10.0, 1.0).is_large_radius
+    with pytest.raises(ValueError, match="short-wavelength asymptotics need X >= 10"):
+        f2_asymptotic(0.3, 1.0, 9.99, mode)
+
 
 def test_f2_direct_vs_stationary():
     d = f2_asymptotic(-0.3, 10.0, 100.0, "direct")

@@ -334,3 +334,30 @@ def test_rainbow_refusal_names_the_deepest_accepted_angle(tmp_path, capsys, mu, 
     assert run(base + [deep, found[1], "--out", str(tmp_path / "ok.csv")]) == cli.EXIT_OK
     past = f"{bound + math.copysign(1e-5, mu):.6f}"
     assert run(base + [deep, past, "--out", str(tmp_path / "past.csv")]) == cli.EXIT_INVALID
+
+
+@pytest.mark.parametrize("flag", ["--max-l2", "--max-unitarity"])
+@pytest.mark.parametrize("value", ["nan", "-1e-3"])
+def test_compare_refuses_a_nan_or_negative_tolerance(tmp_path, capsys, flag, value):
+    # every comparison with nan is false, so a nan tolerance would pass any curve
+    out = tmp_path / "cmp.csv"
+    base = ["compare", "--kr-c", "30", "--mu", "0.37", "--kappa", "1",
+            "--phi-min", "-0.4", "--phi-max", "0.4", "--steps", "41",
+            "--method", "Exact", "--method", "Fraunhofer", "--out", str(out)]
+    assert run(base + [flag, value]) == cli.EXIT_INVALID
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+    assert run(base + [flag, "inf"]) == cli.EXIT_OK  # no limit
+
+
+@pytest.mark.parametrize("command", ["curve", "compare"])
+def test_compute_failure_exit_code(tmp_path, capsys, command):
+    # X = 1500 needs orders past the cylinder functions' supported range
+    out = tmp_path / "big.csv"
+    argv = [command, "--kr-c", "1500", "--mu", "0.3", "--out", str(out)]
+    if command == "compare":
+        argv += ["--method", "Exact", "--method", "Fraunhofer"]
+    assert run(argv) == cli.EXIT_COMPUTE
+    err = capsys.readouterr().err
+    assert err.startswith("compute error: ") and "X=1500.0, mu=0.3" in err
+    assert not out.exists()

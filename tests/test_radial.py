@@ -9,7 +9,6 @@ from vortexscatter import radial, specfun
 from vortexscatter.radial import (
     FAR,
     NEAR,
-    InsideSolution,
     ModeMatch,
     SolverFailure,
     VortexParams,
@@ -28,24 +27,24 @@ def match_coefficient(n, params, inside=None):
     """Scalar oracle for one mode of the table: the cylinder functions of its
     one order and CPython complex arithmetic, with the table's Dirichlet limit
     and its rule that a far mode whose irregular member overflows is free.
-    ``inside`` replaces the interior pair (for the scale-invariance check)."""
+    ``inside`` replaces the interior pair (tau, tau') (for the
+    scale-invariance check)."""
     X, nu = params.X, abs(n - params.mu)
     near = nu <= X
     j, jp, y, yp = cylinder_functions(nu, X)
     if not near and not (math.isfinite(y) and math.isfinite(yp)):
-        return ModeMatch(n=n, nu=nu, regime=FAR, c_n=0j, s_n=1 + 0j, b_ratio=0j)
+        return ModeMatch(n=n, nu=nu, regime=FAR, c_n=0j, s_n=1 + 0j)
     if math.isinf(params.kappa):
-        p, q, b_ratio = j, y, 0j
+        p, q = j, y
     else:
-        inside = inside or inside_solution(n, params)
-        tv, td, kap = inside.value, inside.derivative, params.kappa
+        tv, td = inside or inside_solution(n, params)
+        kap = params.kappa
         p = j * td - tv * jp + kap * j * tv
         q = y * td - tv * yp + kap * y * tv
-        b_ratio = (-2.0j / X) / (math.sqrt(math.pi / 2.0) * complex(p, q) / math.hypot(tv, td))
     den = complex(p, q)
     s_n = -complex(p, -q) / den
     c_n = -s_n if near else 2.0 * p / den
-    return ModeMatch(n=n, nu=nu, regime=NEAR if near else FAR, c_n=c_n, s_n=s_n, b_ratio=b_ratio)
+    return ModeMatch(n=n, nu=nu, regime=NEAR if near else FAR, c_n=c_n, s_n=s_n)
 
 
 def table_row(params, n):
@@ -93,10 +92,10 @@ def test_interior_free_field_is_regular_cylinder_function():
     # with no field the interior equation is the free cylinder equation,
     # so the boundary pair must be proportional to (J_n, J_n')
     p = VortexParams(X=5.0, mu=0.0)
-    sol = inside_solution(0, p)
+    value, derivative = inside_solution(0, p)
     j, jp, _, _ = cylinder_functions(0.0, 5.0)
-    cross = sol.value * jp - sol.derivative * j
-    scale = math.hypot(sol.value, sol.derivative) * math.hypot(j, jp)
+    cross = value * jp - derivative * j
+    scale = math.hypot(value, derivative) * math.hypot(j, jp)
     assert abs(cross) <= 1e-9 * scale
 
 
@@ -128,10 +127,10 @@ def rk4_oracle(n, params, steps=200_000):
 
 def test_interior_against_fixed_step_oracle():
     p = VortexParams(X=10.0, mu=0.5, sigma=+1)
-    sol = inside_solution(2, p)
+    value, derivative = inside_solution(2, p)
     u_o, d_o = rk4_oracle(2, p)
     # compare the scale-free boundary angle atan2(der, val)
-    got = math.atan2(sol.derivative, sol.value)
+    got = math.atan2(derivative, value)
     ref = math.atan2(d_o, u_o)
     assert abs(got - ref) <= 1e-8
 
@@ -142,10 +141,8 @@ def test_interior_spin_term_is_small_at_large_radius():
     def spin_shift(X):
         pa = VortexParams(X=X, mu=0.3, sigma=+1)
         pb = VortexParams(X=X, mu=0.3, sigma=-1)
-        sa, sb = inside_solution(1, pa), inside_solution(1, pb)
-        ta = math.atan2(sa.derivative, sa.value)
-        tb = math.atan2(sb.derivative, sb.value)
-        return abs(ta - tb)
+        (va, da), (vb, db) = inside_solution(1, pa), inside_solution(1, pb)
+        return abs(math.atan2(da, va) - math.atan2(db, vb))
 
     d40 = spin_shift(40.0)
     assert d40 <= 10.0 * 2.0 * 0.3 / 40.0
@@ -163,36 +160,27 @@ def test_inside_solution_rejects_out_of_range_mode():
 # ---------------------------------------------------------------------------
 
 def test_outside_basis_near_delegates_to_hankel():
-    p = VortexParams(X=10.0, mu=0.0)
-    basis = outside_basis_at_edge(0, p)
-    assert basis.regime == NEAR
-    # sqrt(pi/2) (J +/- i Y) and its derivative, bit for bit
-    j, jp, y, yp = cylinder_functions(0.0, 10.0)
-    pref = math.sqrt(math.pi / 2.0)
-    assert basis.plus_value == pref * complex(j, y)
-    assert basis.minus_value == pref * complex(j, -y)
-    assert basis.plus_deriv == pref * complex(jp, yp)
-    assert basis.minus_deriv == pref * complex(jp, -yp)
+    # a near mode gives the real pair that the Hankel waves sqrt(pi/2)
+    # (J +/- i Y) are made of: (J, J', Y, Y') as floats, bit for bit
+    basis = outside_basis_at_edge(0, VortexParams(X=10.0, mu=0.0))
+    assert all(type(v) is float for v in basis)
+    assert list(basis) == cylinder_functions(0.0, 10.0)
 
 
 def test_outside_basis_far_wronskian_pair():
     p = VortexParams(X=10.0, mu=0.6)
-    basis = outside_basis_at_edge(13, p)  # nu = 12.4 > X
-    assert basis.regime == FAR
-    fields = (basis.minus_value, basis.minus_deriv, basis.plus_value, basis.plus_deriv)
-    assert list(fields) == cylinder_functions(abs(13 - 0.6), 10.0)  # (J, J', Y, Y')
-    assert abs(basis.minus_value) < 0.1 < abs(basis.plus_value)
-    w = (basis.minus_value * basis.plus_deriv - basis.plus_value * basis.minus_deriv)
-    assert w.real == pytest.approx(2.0 / (math.pi * 10.0), rel=1e-9)
+    j, jp, y, yp = basis = outside_basis_at_edge(13, p)  # nu = 12.4 > X
+    assert list(basis) == cylinder_functions(abs(13 - 0.6), 10.0)
+    assert abs(j) < 0.1 < abs(y)
+    assert j * yp - y * jp == pytest.approx(2.0 / (math.pi * 10.0), rel=1e-9)
 
 
 def test_outside_basis_near_recombination():
-    # (psi_plus + psi_minus) / (2 sqrt(pi/2)) reproduces the regular member
-    p = VortexParams(X=50.0, mu=0.8)
-    basis = outside_basis_at_edge(4, p)  # nu = 3.2
-    j = (basis.plus_value + basis.minus_value) / (2.0 * math.sqrt(math.pi / 2.0))
-    assert j.real == pytest.approx(cylinder_functions(abs(4 - 0.8), 50.0)[0], rel=1e-9)
-    assert abs(j.imag) < 1e-15
+    # the pair that recombines into the travelling waves of a near mode is
+    # taken at the order nu = |n - mu| = 3.2, not at |n|
+    basis = outside_basis_at_edge(4, VortexParams(X=50.0, mu=0.8))
+    assert list(basis) == cylinder_functions(abs(4 - 0.8), 50.0)
+    assert basis[0] != cylinder_functions(4.0, 50.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +205,6 @@ def test_dirichlet_limit():
     m_inf = table_row(p_inf, 5)
     m_big = table_row(VortexParams(X=30.0, mu=0.37, kappa=1e8), 5)
     assert abs(m_inf.c_n - m_big.c_n) < 1e-6
-    assert m_inf.b_ratio == 0.0
     # monotone approach ~ C/kappa
     errs = [abs(table_row(VortexParams(X=30.0, mu=0.37, kappa=k), 5).c_n
                 - m_inf.c_n) for k in (1e2, 1e4, 1e6, 1e8)]
@@ -235,22 +222,12 @@ def test_unitarity_and_modulus():
 
 def test_scale_invariance_of_matching():
     p = VortexParams(X=15.0, mu=0.8, kappa=2.0)
-    base = inside_solution(3, p)
-    m0 = match_coefficient(3, p, base)
+    value, derivative = inside_solution(3, p)
+    m0 = match_coefficient(3, p)
     for scale in (1e-30, 7.3, 1e+25):
-        scaled = InsideSolution(value=base.value * scale,
-                                derivative=base.derivative * scale)
-        m1 = match_coefficient(3, p, scaled)
+        m1 = match_coefficient(3, p, (value * scale, derivative * scale))
         assert m1.c_n == pytest.approx(m0.c_n, rel=1e-13)
         assert m1.s_n == pytest.approx(m0.s_n, rel=1e-13)
-        assert m1.b_ratio == pytest.approx(m0.b_ratio, rel=1e-13)
-
-
-def test_interior_amplitude_finite_for_penetrable_shell():
-    p = VortexParams(X=15.0, mu=0.8, kappa=2.0)
-    m = table_row(p, 3)
-    assert m.b_ratio != 0.0
-    assert abs(m.b_ratio) < 1e3
 
 
 def test_spin_decoupling_scan():
@@ -334,7 +311,7 @@ def test_mode_table_matches_scalar_oracle(X):
                 p = VortexParams(X=X, mu=mu, kappa=kappa, sigma=sigma)
                 tab = mode_table(p)
                 assert tab.n.tolist() == list(range(round(mu) - p.n_max, round(mu) + p.n_max + 1))
-                free = ~tab.near & (tab.c_n == 0.0) & (tab.s_n == 1.0) & (tab.b_ratio == 0.0)
+                free = ~tab.near & (tab.c_n == 0.0) & (tab.s_n == 1.0)
                 lo, hi = np.flatnonzero(~free)[[0, -1]]
                 assert free[:lo].all() and free[hi + 1:].all() and not free[lo:hi + 1].any()
                 for i, m in enumerate(tab):
@@ -345,7 +322,6 @@ def test_mode_table_matches_scalar_oracle(X):
                         continue
                     assert abs(m.c_n - ref.c_n) <= 4.5e-16, (p, m.n)
                     assert abs(m.s_n - ref.s_n) <= 4.5e-16, (p, m.n)
-                    assert abs(m.b_ratio - ref.b_ratio) <= 1e-13 * abs(ref.b_ratio), (p, m.n)
 
 
 @pytest.mark.parametrize("X, mu, kappa", [

@@ -1,7 +1,7 @@
 """Special-function layer: oracle checks of ``cylinder_pairs`` and ``airy_ai``
 against mpmath, power series, quadrature of integral representations and
 closed half-integer forms, and the travelling-wave normalisation of the
-near edge basis built from the pairs."""
+Hankel combinations of the pairs."""
 
 import math
 
@@ -11,7 +11,6 @@ from scipy.integrate import quad
 from scipy.special import airy
 
 from vortexscatter import specfun
-from vortexscatter.radial import NEAR, VortexParams, outside_basis_at_edge
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +158,16 @@ def test_wronskian_identity_grid():
 
 
 # ---------------------------------------------------------------------------
-# travelling waves: the near basis sqrt(pi/2) (J -/+ i Y) that
-# radial.outside_basis_at_edge builds from these pairs
+# travelling waves sqrt(pi/2) (J +/- i Y) built from the pairs
 # ---------------------------------------------------------------------------
 
-def near_basis(nu, x):
-    """Near basis of mode n = 0 at flux mu = -nu, whose order is exactly nu."""
-    basis = outside_basis_at_edge(0, VortexParams(X=x, mu=-nu))
-    assert basis.regime == NEAR
-    return basis
+def travelling_waves(nu, x):
+    """(h+, h+', h-, h-') with h+- = sqrt(pi/2) (J +- i Y), normalised so
+    that h+- ~ x^(-1/2) exp(+-i (x - nu pi/2 - pi/4)) as x -> infinity."""
+    j, jp, y, yp = cyl(nu, x)
+    pref = math.sqrt(math.pi / 2.0)
+    return (pref * complex(j, y), pref * complex(jp, yp),
+            pref * complex(j, -y), pref * complex(jp, -yp))
 
 
 def _unit_phase(phase):
@@ -177,26 +177,31 @@ def _unit_phase(phase):
 def test_hankel_out_asymptotic_phase():
     # ~ x^(-1/2) exp(+-i(x - nu pi/2 - pi/4)) at large x
     nu, x = 0.5, 200.0
-    basis = near_basis(nu, x)
+    plus, _, minus, _ = travelling_waves(nu, x)
     ref = _unit_phase(x - nu * math.pi / 2 - math.pi / 4) / math.sqrt(x)
-    assert abs(basis.plus_value - ref) <= 1e-6 * abs(ref)
-    assert abs(basis.minus_value - ref.conjugate()) <= 1e-6 * abs(ref)
+    assert abs(plus - ref) <= 1e-6 * abs(ref)
+    assert abs(minus - ref.conjugate()) <= 1e-6 * abs(ref)
 
 
 def test_hankel_out_conjugation():
+    # real J and Y make the incoming wave the conjugate of the outgoing
+    # one; their Wronskian is 2i/x
     for nu, x in [(0.3, 5.0), (7.7, 12.0), (2.0, 40.0)]:
-        basis = near_basis(nu, x)
-        assert basis.minus_value == basis.plus_value.conjugate()
-        assert basis.minus_deriv == basis.plus_deriv.conjugate()
+        plus, plus_d, minus, minus_d = travelling_waves(nu, x)
+        assert minus == plus.conjugate()
+        assert minus_d == plus_d.conjugate()
+        assert minus * plus_d - plus * minus_d == pytest.approx(2j / x)
 
 
 def test_hankel_out_recombination():
-    # equals sqrt(pi/2) (J + i Y) in the chosen normalisation
+    # equals sqrt(pi/2) H^(1)_nu, with H' = H_{nu-1} - (nu/x) H, from mpmath
+    import mpmath
+
     nu, x = 2.3, 7.0
-    j, jp, y, yp = cyl(nu, x)
-    basis = near_basis(nu, x)
-    assert basis.plus_value == pytest.approx(math.sqrt(math.pi / 2) * complex(j, y))
-    assert basis.plus_deriv == pytest.approx(math.sqrt(math.pi / 2) * complex(jp, yp))
+    plus, plus_d, _, _ = travelling_waves(nu, x)
+    h, h_lower = (complex(mpmath.hankel1(v, x)) for v in (nu, nu - 1.0))
+    assert plus == pytest.approx(math.sqrt(math.pi / 2) * h)
+    assert plus_d == pytest.approx(math.sqrt(math.pi / 2) * (h_lower - nu / x * h))
 
 
 def test_hankel_phase_law_convergence():
@@ -206,7 +211,7 @@ def test_hankel_phase_law_convergence():
     nu = 3.2
     errs = []
     for x in (50.0, 200.0, 800.0):
-        h = near_basis(nu, x).plus_value
+        h = travelling_waves(nu, x)[0]
         d = cmath.phase(h / _unit_phase(x - nu * math.pi / 2 - math.pi / 4))
         errs.append(abs(d))
     assert errs[0] > errs[1] > errs[2]
