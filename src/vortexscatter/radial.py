@@ -292,8 +292,11 @@ def inside_solution(n: int, params: VortexParams) -> tuple[float, float]:
 
 def outside_basis_at_edge(n: int, params: VortexParams) -> tuple[float, float, float, float]:
     """Edge data (J, J', Y, Y') at x = X and order nu = |n - mu| of the
-    outside pair that :func:`mode_table` matches, from one
-    :func:`vortexscatter.specfun.cylinder_pairs` call."""
+    outside pair that :func:`mode_table` matches.  One order is a ladder
+    of one in :func:`vortexscatter.specfun.cylinder_pairs`, so these are
+    scipy's values; they agree with the table's row, which comes from the
+    window's ladder recurrence, within the 3e-13 of |C| + |C'| that each
+    keeps from mpmath."""
     nu = abs(n - params.mu)
     return tuple(float(a[0]) for a in specfun.cylinder_pairs(np.array([nu]), params.X))
 
@@ -334,6 +337,8 @@ class ModeTable:
 
 _TAIL_EPS = 1e-14
 _DEGENERATE_FLOOR = 1e-300
+# worst measured defect of a mode window's pairs: 2.8e-13, at X = 1000
+_WRONSKIAN_TOL = 1e-12
 
 
 @lru_cache(maxsize=8)  # a compare run needs 2 tables; ops share no others
@@ -345,19 +350,23 @@ def mode_table(params: VortexParams) -> ModeTable:
     the modes outward from round(mu) up to three consecutive far modes
     with |c_n| < 1e-14 on each side; beyond them the free values are
     exact at double precision in any amplitude.  A far mode whose
-    irregular member overflows double precision sits so deep under the
-    barrier that its coupling is exactly zero.  For kappa = +-inf the
+    irregular member (or its derivative, at X below about 1.5e-10)
+    overflows double precision sits so deep under the barrier that its
+    coupling is exactly zero.  The edge pairs of every other mode must
+    keep the Wronskian pi X/2 (J Y' - Y J') = 1 within 1e-12, a free
+    check of the ladder recurrence.  For kappa = +-inf the
     Dirichlet limit is taken exactly: the interior drops out of c_n and
     s_n.  The table is deterministic, and the last 8 tables are cached.
 
     Raises
     ------
     SolverFailure
-        If an order or X lies outside the cylinder functions' supported
-        range, if a side of the window ends before the tail cutoff, if
-        the interior cannot be certified, or if a kept mode's matching
-        denominator vanishes (an exact interior resonance, which cannot
-        occur for real kappa and is reported, not hidden).
+        If X lies outside the cylinder functions' supported range, if
+        the edge pairs fail the Wronskian check, if a side of the window
+        ends before the tail cutoff, if the interior cannot be certified,
+        or if a kept mode's matching denominator vanishes (an exact
+        interior resonance, which cannot occur for real kappa and is
+        reported, not hidden).
     """
     X, mu, kappa = params.X, params.mu, params.kappa
     ic = params.n_max
@@ -368,6 +377,12 @@ def mode_table(params: VortexParams) -> ModeTable:
         except ValueError as err:
             raise SolverFailure(f"X={X}, mu={mu}: {err}") from err
         live = near | (np.isfinite(y) & np.isfinite(yp))
+        defect = np.where(live, np.abs(0.5 * math.pi * X * (j * yp - y * jp) - 1.0), 0.0)
+        worst = int(np.argmax(defect))
+        if not defect[worst] <= _WRONSKIAN_TOL:
+            raise SolverFailure(
+                f"X={X}, mu={mu}: cylinder functions of mode n={n[worst]} fail the Wronskian "
+                f"check, pi X/2 (J Y' - Y J') - 1 = {defect[worst]:.3g}")
         if math.isinf(kappa):
             p, q = j, y
         else:

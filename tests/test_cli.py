@@ -352,7 +352,7 @@ def test_compare_refuses_a_nan_or_negative_tolerance(tmp_path, capsys, flag, val
 
 @pytest.mark.parametrize("command", ["curve", "compare"])
 def test_compute_failure_exit_code(tmp_path, capsys, command):
-    # X = 1500 needs orders past the cylinder functions' supported range
+    # X = 1500 lies past the cylinder functions' supported range
     out = tmp_path / "big.csv"
     argv = [command, "--kr-c", "1500", "--mu", "0.3", "--out", str(out)]
     if command == "compare":

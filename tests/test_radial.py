@@ -1,6 +1,7 @@
 """Exact radial solver: interior integration, edge matching, mode tables."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -23,15 +24,16 @@ def cylinder_functions(nu, x):
     return [float(a[0]) for a in specfun.cylinder_pairs(np.array([nu]), x)]
 
 
-def match_coefficient(n, params, inside=None):
-    """Scalar oracle for one mode of the table: the cylinder functions of its
-    one order and CPython complex arithmetic, with the table's Dirichlet limit
-    and its rule that a far mode whose irregular member overflows is free.
-    ``inside`` replaces the interior pair (tau, tau') (for the
+def match_coefficient(n, params, inside=None, edge=None):
+    """Scalar oracle for one mode of the table: CPython complex arithmetic on
+    the edge pairs, with the table's Dirichlet limit and its rule that a far
+    mode whose irregular member overflows is free.  ``edge`` gives
+    (J, J', Y, Y'), by default the cylinder functions of the mode's one
+    order; ``inside`` replaces the interior pair (tau, tau') (for the
     scale-invariance check)."""
     X, nu = params.X, abs(n - params.mu)
     near = nu <= X
-    j, jp, y, yp = cylinder_functions(nu, X)
+    j, jp, y, yp = edge or cylinder_functions(nu, X)
     if not near and not (math.isfinite(y) and math.isfinite(yp)):
         return ModeMatch(n=n, nu=nu, regime=FAR, c_n=0j, s_n=1 + 0j)
     if math.isinf(params.kappa):
@@ -293,9 +295,8 @@ def test_mode_table_far_decay_beyond_turning_point():
 
 
 def test_mode_table_range_validation():
-    # arguments and orders beyond the cylinder functions' range are refused
-    # up front, naming the scenario: at X = 1100 the argument, at X = 1200
-    # also the orders n_max + 1/2 = 1353.5
+    # an argument beyond the cylinder functions' range is refused up front,
+    # naming the scenario
     for X in (1100.0, 1200.0):
         with pytest.raises(SolverFailure, match=f"X={X}, mu=0.3"):
             mode_table(VortexParams(X=X, mu=0.3))
@@ -304,8 +305,18 @@ def test_mode_table_range_validation():
 @pytest.mark.parametrize("X", [30.0, 100.0, 200.0, 480.0])
 def test_mode_table_matches_scalar_oracle(X):
     # every mode of both flux signs, three shell strengths and both spins;
-    # c_n and s_n differ from the oracle only by numpy's complex division
+    # c_n and s_n differ from the oracle, which matches the same window row
+    # of cylinder_pairs, only by numpy's complex division
     for mu in (0.15 * X + 0.37, -(0.15 * X + 0.37)):
+        n, nu, _ = radial._mode_window(VortexParams(X=X, mu=mu))
+        rows = np.array(specfun.cylinder_pairs(nu, X))
+        # one order from scipy against its row of the window's ladder: each
+        # is within 3e-13 of |C| + |C'| from mpmath (tests/test_specfun.py,
+        # NOTES.md), so they agree within twice that; worst measured 3.1e-13
+        # (J at X = 480, mostly scipy's own error)
+        one = np.array([outside_basis_at_edge(int(k), VortexParams(X=X, mu=mu)) for k in n]).T
+        for a, b in ((0, 1), (1, 0), (2, 3), (3, 2)):
+            assert (np.abs(one[a] - rows[a]) <= 6e-13 * (np.abs(rows[a]) + np.abs(rows[b]))).all()
         for kappa in (0.0, 2.5, math.inf):
             for sigma in (+1, -1):
                 p = VortexParams(X=X, mu=mu, kappa=kappa, sigma=sigma)
@@ -315,7 +326,7 @@ def test_mode_table_matches_scalar_oracle(X):
                 lo, hi = np.flatnonzero(~free)[[0, -1]]
                 assert free[:lo].all() and free[hi + 1:].all() and not free[lo:hi + 1].any()
                 for i, m in enumerate(tab):
-                    ref = match_coefficient(m.n, p)
+                    ref = match_coefficient(m.n, p, edge=tuple(float(a) for a in rows[:, i]))
                     assert (m.n, m.nu, m.regime) == (ref.n, ref.nu, ref.regime)
                     if free[i]:  # past the tail cutoff
                         assert abs(ref.c_n) < 1e-14 and abs(ref.s_n - 1.0) < 1e-14
@@ -341,3 +352,32 @@ def test_mode_table_refuses_window_without_tail(monkeypatch):
     monkeypatch.setattr(radial, "_TAIL_EPS", 0.0)
     with pytest.raises(SolverFailure, match="X=30.0, mu=0.123"):
         mode_table.__wrapped__(VortexParams(X=30.0, mu=0.123))
+
+
+def test_mode_table_checks_the_wronskian(monkeypatch):
+    # a ladder whose second anchor is off by 1e-9 breaks pi X/2 W{J, Y} = 1
+    # by far more than the 1e-12 bound (worst measured on working code: 2.8e-13)
+    recur = specfun._recur
+    monkeypatch.setattr(specfun, "_recur", lambda c0, c1, coef: recur(c0, c1 * (1.0 + 1e-9), coef))
+    with pytest.raises(SolverFailure, match="X=30.0, mu=0.37: .*Wronskian"):
+        mode_table.__wrapped__(VortexParams(X=30.0, mu=0.37))
+
+
+@pytest.mark.parametrize("X", [30.0, 480.0])
+def test_mode_table_evaluates_few_cylinder_functions(monkeypatch, X):
+    # the window's two ladders take two J and two Y values each from scipy;
+    # one evaluation per order would be about 4 (2 n_max + 1)
+    count = []
+
+    def counted(fn):
+        def wrapper(nu, x):
+            count.append(np.size(nu))
+            return fn(nu, x)
+        return wrapper
+
+    sp = specfun._sp
+    monkeypatch.setattr(specfun, "_sp", types.SimpleNamespace(jv=counted(sp.jv), yv=counted(sp.yv)))
+    for mu in (0.3 * X + 0.37, -7.0):
+        count.clear()
+        mode_table.__wrapped__(VortexParams(X=X, mu=mu, kappa=2.5))
+        assert 0 < sum(count) <= 8, (X, mu, count)

@@ -3,6 +3,7 @@ against mpmath, power series, quadrature of integral representations and
 closed half-integer forms, and the travelling-wave normalisation of the
 Hankel combinations of the pairs."""
 
+import functools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import airy
 
-from vortexscatter import specfun
+from vortexscatter import radial, specfun
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +82,17 @@ def test_bessel_j_against_series():
 
 
 def test_bessel_j_domain_errors():
-    for nu, x in ((1.0, 0.0), (1.0, -2.0), (specfun.SUPPORTED_MAX_ORDER + 1.0, 10.0),
-                  (1.0, 1001.0), (-0.5, 10.0)):
+    for nu, x in ((1.0, 0.0), (1.0, -2.0), (1.0, 1001.0), (1.0, math.nan), (-0.5, 10.0),
+                  (math.nan, 10.0), (math.inf, 10.0)):
         with pytest.raises(ValueError):
             cyl(nu, x)
     # an array of orders is checked as a whole
-    for nu in ([3.0, specfun.SUPPORTED_MAX_ORDER + 1.0], [-0.5, 1.0]):
+    for nu in ([3.0, math.nan], [-0.5, 1.0]):
         with pytest.raises(ValueError):
             specfun.cylinder_pairs(np.array(nu), 10.0)
+    # a ladder whose top J underflows would carry no digits down to J_1/2(1)
+    with pytest.raises(ValueError, match="not a normal float"):
+        specfun.cylinder_pairs(np.arange(0.5, 400.0), 1.0)
 
 
 def test_large_orders_against_mpmath():
@@ -124,6 +128,86 @@ def test_derivative_recurrence_against_mpmath(x):
                 ref = float(fn(nu, x, derivative=1))
                 scale = abs(float(fn(nu, x))) + abs(ref)
                 assert abs(got - ref) <= 3e-13 * scale, (name, nu, x)
+
+
+@functools.lru_cache(maxsize=None)
+def _mpmath_ladder(f, x, top):
+    """30-digit J and Y at the orders f - 1, f, ..., f + top + 1 (f exact in
+    [0, 1)): mpmath's besselj at the two highest orders and bessely at the
+    two lowest, the exact recurrence C_{v-1} + C_{v+1} = (2v/x) C_v (DLMF
+    10.6.1) in between, J downwards and Y upwards.  The far ends and the
+    rungs nearest x are checked against mpmath's own values to 1e-20."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        xm = mpmath.mpf(x)
+        v = [f - 1 + k for k in range(top + 3)]
+        y = [mpmath.bessely(v[0], xm), mpmath.bessely(v[1], xm)]
+        for o in v[1:-1]:
+            y.append(2 * o / xm * y[-1] - y[-2])
+        j = [mpmath.besselj(v[-1], xm), mpmath.besselj(v[-2], xm)]
+        for o in v[-2:0:-1]:
+            j.append(2 * o / xm * j[-1] - j[-2])
+        j.reverse()
+        near_x = min(max(int(x - f) + 1, 1), top + 1)
+        for fn, c, k in ((mpmath.besselj, j, 0), (mpmath.besselj, j, 1), (mpmath.bessely, y, -1),
+                         (mpmath.besselj, j, near_x), (mpmath.bessely, y, near_x)):
+            direct = fn(v[k], xm)
+            assert abs(c[k] - direct) <= 1e-20 * (abs(direct) + abs(c[k - 1])), (f, x, k)
+    return j, y
+
+
+def mpmath_window_pairs(n, mu, x):
+    """(J, J', Y, Y') at the exact orders |n - mu| of a mode window, as four
+    float arrays, from the 30-digit ladders of :func:`_mpmath_ladder`."""
+    import mpmath
+
+    top = int(np.max(np.abs(n - mu))) + 1
+    out = np.empty((4, len(n)))
+    with mpmath.workdps(30):
+        for i, ni in enumerate(n):
+            v = abs(int(ni) - mpmath.mpf(mu))
+            k = int(mpmath.floor(v))
+            j, y = _mpmath_ladder(v - k, x, top)
+            out[:, i] = [float(c) for c in (j[k + 1], j[k] - v / x * j[k + 1],
+                                            y[k + 1], y[k] - v / x * y[k + 1])]
+    return out
+
+
+def worst_scaled_error(got, ref):
+    """max |got - ref| / (|C| + |C'|) of J, J', Y and Y' over a window."""
+    return [float(np.max(np.abs(got[a] - ref[a]) / (np.abs(ref[a]) + np.abs(ref[b]))))
+            for a, b in ((0, 1), (1, 0), (2, 3), (3, 2))]
+
+
+@pytest.mark.parametrize("x", [30.0, 100.0, 200.0, 480.0, 1000.0])
+def test_window_ladder_against_mpmath(x):
+    # every order of one window call, both flux signs: integer, half-integer,
+    # k +- 1e-12 (two ladders with orders 2e-12 apart) and +-0.0; error
+    # relative to |C| + |C'|, worst measured 2.8e-13 (J at x = 1000, set by
+    # scipy's J at the top of the ladder; scipy's own values there: 8.9e-13)
+    k = 100
+    for base in (k, k + 0.5, k + 1e-12, k - 1e-12, 0.0):
+        for mu in (base, -base):
+            n, nu, _ = radial._mode_window(radial.VortexParams(X=x, mu=mu))
+            err = worst_scaled_error(np.array(specfun.cylinder_pairs(nu, x)),
+                                     mpmath_window_pairs(n, mu, x))
+            assert max(err) <= 3e-13, (x, mu, err)
+
+
+def test_window_at_the_bottom_of_the_range():
+    # the window's top rung is n_max + 1/2 = 26.5 at most; scipy flushes the
+    # integer-order J_26 to zero below x = 1.49e-10 and the recurrence needs
+    # a normal float there, so that window is refused; just above, every
+    # value is finite (Y at most ~1e294) and within the mpmath bound
+    for mu in (0.0, 0.5, 0.37, -7.25):
+        n, nu, _ = radial._mode_window(radial.VortexParams(X=1.5e-10, mu=mu))
+        pairs = np.array(specfun.cylinder_pairs(nu, 1.5e-10))
+        assert np.isfinite(pairs).all()
+        assert max(worst_scaled_error(pairs, mpmath_window_pairs(n, mu, 1.5e-10))) <= 3e-13
+    _, nu, _ = radial._mode_window(radial.VortexParams(X=1.4e-10, mu=0.0))
+    with pytest.raises(ValueError, match="not a normal float"):
+        specfun.cylinder_pairs(nu, 1.4e-10)
 
 
 # ---------------------------------------------------------------------------
