@@ -24,16 +24,20 @@ its own weights P_n c_n, not taken as the difference of
 sum P_n (1 + c_n) and f1: in the forward peak |f1| ~ X lies far above
 |f2|, and the difference would lose f2's leading digits.
 
-Each mode sum factors its phases baby-step giant-step,
+f1 is two geometric series: the near modes are contiguous and P_n takes
+one value below mu and another from mu on, so f1 is summed in closed form
+as two Dirichlet kernels, one on each side of mu.
+
+Each other mode sum factors its phases baby-step giant-step,
 e^{i n phi} = e^{i (n0 + B a) phi} e^{i b phi} with B ~ sqrt(K) for K
 modes, so a block of angles needs ~2 sqrt(K) complex exponentials per
 angle instead of K.  Two fixed-order einsum contractions, over b and
 then over a, take the sum one block of angles at a time, so identical
 inputs give identical bits at any BLAS thread count and no table
-exceeds one block.  An Exact curve sums f1, f2 and f3 as three weight
-rows of one such call over the mode window of
-:func:`vortexscatter.radial.mode_table`, with zero weights on the modes
-a piece does not include.
+exceeds one block.  An Exact curve sums f2 and f3 as two weight rows of
+one such call over the kept span of
+:func:`vortexscatter.radial.mode_table`, from the first to the last mode
+with c_n != 0, with zero weights on the modes a piece does not include.
 """
 
 from __future__ import annotations
@@ -90,10 +94,10 @@ def ab_amplitude(phi, mu: float):
     Raises
     ------
     ValueError
-        If any angle is 0 or outside (-pi, pi).
+        If any angle is 0, NaN or outside (-pi, pi).
     """
     phi_arr = np.asarray(phi, dtype=float)
-    if np.any(phi_arr == 0.0) or np.any(np.abs(phi_arr) >= math.pi):
+    if not ((phi_arr != 0.0) & (np.abs(phi_arr) < math.pi)).all():
         raise ValueError("ab_amplitude needs angles in (-pi, pi) excluding 0")
     pref = 1j * _half_turns(mu).imag / SQRT_2PI
     out = pref * np.exp(1j * (math.floor(mu) + 0.5) * phi_arr) / np.sin(phi_arr / 2.0)
@@ -133,17 +137,49 @@ def _mode_sum(phi, ns: np.ndarray, weights):
     return total if np.ndim(phi) else total[..., 0][()]
 
 
-def f1_sum(phi, params: VortexParams):
-    """Edge-diffraction amplitude f1 by direct near-mode summation.
+def _dirichlet(phi: np.ndarray, a: int, b: int) -> np.ndarray:
+    """sum_{n=a}^{b} e^{i n phi} = e^{i (a+b) phi/2} sin(N phi/2)/sin(phi/2)
+    over the N = b - a + 1 modes, with the limit N where sin(phi/2) = 0;
+    exactly 0 for an empty range."""
+    N = b - a + 1
+    if N <= 0:
+        return np.zeros(phi.shape, dtype=complex)
+    s = np.sin(0.5 * phi)
+    ratio = np.divide(np.sin(0.5 * N * phi), s, out=np.full(phi.shape, float(N)), where=s != 0.0)
+    return np.exp(1j * (0.5 * (a + b) * phi)) * ratio
 
-    Sums the mode window of :func:`vortexscatter.radial.mode_table` with
-    zero weights off the near modes, as the f1 row of an Exact curve does,
-    so the two agree bit for bit.  Independent of the interior field and
+
+def f1_sum(phi, params: VortexParams):
+    """Edge-diffraction amplitude f1, summed over the near modes in closed
+    form.
+
+    The near modes lo..hi of :func:`vortexscatter.radial._mode_window` are
+    contiguous, and P_n is e^{-i mu pi} below k = ceil(mu) and e^{i mu pi}
+    from k on, so f1 = (i/sqrt(2 pi)) [e^{-i mu pi} D(lo, k-1) +
+    e^{i mu pi} D(k, hi)] with the Dirichlet kernel D(a, b) =
+    sum_{n=a}^{b} e^{i n phi} (k clamped to [lo, hi+1]).  A window with
+    no near mode gives exact zeros.  Independent of the interior field and
     of the shell strength; strongly peaked in the forward direction with
-    k|f1(0)|^2 ~ (2/pi) X^2 cos^2(mu pi).
+    k|f1(0)|^2 ~ (2/pi) X^2 cos^2(mu pi).  An Exact curve takes its f1
+    from here.
+
+    Raises
+    ------
+    ValueError
+        If ``phi`` is not a scalar or 1-d array of finite angles.
     """
+    p = np.asarray(phi, dtype=float)
+    if p.ndim > 1 or not np.isfinite(p).all():
+        raise ValueError("phi must be a scalar or 1-d array of finite angles")
+    p = np.atleast_1d(p)
     n, _, near = _mode_window(params)
-    return _mode_sum(phi, n, np.where(near, flux_phase(n, params.mu), 0.0))
+    f1 = np.zeros(p.shape, dtype=complex)
+    if near.any():
+        lo, hi = int(n[near][0]), int(n[near][-1])
+        k = min(max(math.ceil(params.mu), lo), hi + 1)
+        e = _half_turns(params.mu)
+        f1 = 1j / SQRT_2PI * (e.conjugate() * _dirichlet(p, lo, k - 1) + e * _dirichlet(p, k, hi))
+    return f1 if np.ndim(phi) else f1[0]
 
 
 def fc_sums(phi, params: VortexParams, table: ModeTable | None = None):
@@ -163,25 +199,29 @@ def fc_sums(phi, params: VortexParams, table: ModeTable | None = None):
     Raises
     ------
     ValueError
-        If ``table`` was built for other parameters.
+        If ``phi`` is not a scalar or 1-d array of finite angles, or if
+        ``table`` was built for other parameters.
     """
     _, f2, f3 = _table_sums(phi, params, table)
     return f2, f3
 
 
 def _table_sums(phi, params: VortexParams, table: ModeTable | None):
-    """(f1, f2, f3) as three weight rows of one mode sum over the table's
-    window: P_n on the near modes, P_n c_n on the near modes and P_n c_n on
-    the far ones, with zero weights elsewhere.  The f1 row is that of
-    :func:`f1_sum`, so the two agree bit for bit."""
+    """(f1, f2, f3): f1 from :func:`f1_sum`, and f2 and f3 as two weight
+    rows of one mode sum, P_n c_n on the near modes and P_n c_n on the far
+    ones, over the kept span from the first to the last mode with
+    c_n != 0; the modes outside it carry c_n = 0 exactly."""
+    f1 = f1_sum(phi, params)
     if table is None:
         table = mode_table(params)
     elif table.params != params:
         raise ValueError(f"mode table built for {table.params}, not for {params}")
-    near, p = table.near, flux_phase(table.n, params.mu)
-    pc = p * table.c_n
-    return _mode_sum(phi, table.n, [np.where(near, p, 0.0), np.where(near, pc, 0.0),
-                                    np.where(near, 0.0, pc)])
+    live = np.flatnonzero(table.c_n)
+    span = slice(live[0], live[-1] + 1)
+    n, near = table.n[span], table.near[span]
+    pc = flux_phase(n, params.mu) * table.c_n[span]
+    f2, f3 = _mode_sum(phi, n, [np.where(near, pc, 0.0), np.where(near, 0.0, pc)])
+    return f1, f2, f3
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 from vortexscatter import amplitudes as amp
 from vortexscatter import asymptotics as asy
+from vortexscatter import radial
 from vortexscatter.radial import VortexParams, mode_table
 
 
@@ -79,6 +80,14 @@ def test_ab_amplitude_rejects_forward():
         amp.ab_amplitude(0.0, 0.5)
 
 
+def test_ab_amplitude_rejects_nan():
+    # a NaN angle passed both range checks and came back as NaN, with a
+    # RuntimeWarning from sin on the way
+    for phi in (math.nan, np.array([0.3, math.nan])):
+        with pytest.raises(ValueError, match="excluding 0"):
+            amp.ab_amplitude(phi, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # edge-diffraction amplitude
 # ---------------------------------------------------------------------------
@@ -106,6 +115,52 @@ def test_f1_matches_fraunhofer_curve():
     got = np.abs(np.asarray(amp.f1_sum(g, p))) ** 2
     ref = np.array([asy.fraunhofer_cs(x, mu, X) for x in g])
     assert np.linalg.norm(got - ref) <= 0.05 * np.linalg.norm(ref)
+
+
+def _fsum_f1(phi, params):
+    """f1 at each angle as a math.fsum of the near-mode terms P_n e^{i n phi},
+    each phase taken in long double before rounding to a double."""
+    n, _, near = radial._mode_window(params)
+    n = n[near]
+    p = amp.flux_phase(n, params.mu)
+    out = np.empty(len(phi), dtype=complex)
+    for j, x in enumerate(phi):
+        t = (p * np.exp(1j * (n.astype(np.longdouble) * np.longdouble(x)))).astype(complex)
+        out[j] = complex(math.fsum(t.real.tolist()), math.fsum(t.imag.tolist()))
+    return 1j / math.sqrt(2.0 * math.pi) * out
+
+
+@pytest.mark.parametrize("X", [0.2, 10.0, 30.0, 100.0, 480.0, 1000.0])
+def test_f1_closed_form_matches_fsum_oracle(X):
+    # the two Dirichlet kernels split at ceil(mu): integer flux, half-integer,
+    # k +- 1e-12 on either side of the split, negative flux and
+    # 2|mu|/X = 2; on a grid reaching +-(pi - 1e-3), refined over the
+    # forward peak, and at the scalar angles 0 and +-1e-12.  At X = 0.2,
+    # mu = 3/2 and -1.3 leave no near mode, so the bound asks for exact zeros
+    k = max(1, round(0.3 * X))
+    g = np.concatenate([np.linspace(-(math.pi - 1e-3), math.pi - 1e-3, 121),
+                        np.linspace(-3.0, 3.0, 31) / max(X, 1.0)])
+    scalars = [0.0, 1e-12, -1e-12]
+    for mu in (k, k + 0.5, k + 1e-12, k - 1e-12, -(k + 0.3), X):
+        p = VortexParams(X=X, mu=mu)
+        ref, ref_scalar = _fsum_f1(g, p), _fsum_f1(scalars, p)
+        peak = max(np.abs(ref).max(), np.abs(ref_scalar).max())
+        assert np.abs(amp.f1_sum(g, p) - ref).max() <= 1e-13 * peak, mu
+        for x, r in zip(scalars, ref_scalar):
+            got = amp.f1_sum(x, p)
+            assert np.ndim(got) == 0 and abs(got - r) <= 1e-13 * peak, (mu, x)
+
+
+@pytest.mark.parametrize("phi", [np.zeros((2, 3)), math.nan, np.array([0.1, math.inf])],
+                         ids=["2-d", "nan", "inf"])
+def test_mode_sums_refuse_bad_angles(phi):
+    # a 2-d grid crashed deep in the mode sum with numpy's "could not
+    # broadcast", and a NaN angle gave NaN amplitudes without a word
+    p = VortexParams(X=30.0, mu=2.3, kappa=0.0)
+    with pytest.raises(ValueError, match="scalar or 1-d array of finite angles"):
+        amp.f1_sum(phi, p)
+    with pytest.raises(ValueError, match="scalar or 1-d array of finite angles"):
+        amp.fc_sums(phi, p)
 
 
 # ---------------------------------------------------------------------------
@@ -338,20 +393,31 @@ def test_exact_curve_continuous_as_the_last_near_mode_leaves():
         assert np.abs(above.value - below.value).max() <= 1e-7 * below.value.max()
 
 
-def test_exact_curve_makes_one_mode_sum_call(monkeypatch):
-    # f1, f2 and f3 are three weight rows of one call, which builds its exp
-    # tables once per block of angles
+def test_exact_curve_sums_the_kept_span_in_one_call(monkeypatch):
+    # f2 and f3 are two weight rows of one call over the kept span, whose
+    # ends are the outermost modes with c_n != 0; f1 is in closed form and
+    # makes no call
     calls = []
 
-    def counted(*args):
-        calls.append(np.shape(args[2]))
-        return mode_sum(*args)
+    def counted(phi, ns, weights):
+        calls.append((np.shape(weights), int(ns[0]), int(ns[-1])))
+        return mode_sum(phi, ns, weights)
 
     mode_sum = amp._mode_sum
     monkeypatch.setattr(amp, "_mode_sum", counted)
-    p = VortexParams(X=100.0, mu=10.37, kappa=0.0)
-    amp.cross_section_curve(p, amp.default_angle_grid(301), amp.EXACT)
-    assert calls == [(3, len(mode_table(p).n))]
+    g = amp.default_angle_grid(301)
+    for p in (VortexParams(X=100.0, mu=10.37, kappa=0.0),
+              VortexParams(X=30.0, mu=-4.6, kappa=math.inf)):
+        tab = mode_table(p)
+        live = tab.n[tab.c_n != 0]
+        assert 0 < len(live) < len(tab.n)
+        calls.clear()
+        amp.cross_section_curve(p, g, amp.EXACT)
+        assert calls == [((2, live[-1] - live[0] + 1), live[0], live[-1])]
+        calls.clear()
+        amp.f1_sum(g, p)
+        amp.f1_sum(0.3, p)
+        assert calls == []
 
 
 def test_spin_flip_curve_symmetry_without_shell():

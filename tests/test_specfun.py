@@ -96,14 +96,16 @@ def test_bessel_j_domain_errors():
 
 
 def test_large_orders_against_mpmath():
-    # the mode window at X reaches orders X + 12 X^(1/3) + 25; check J and Y
-    # from X - 40 to X + 160 (non-integer orders, every 10) at the largest
-    # radii the window uses
+    # isolated orders, 25 apart: each is a ladder of one and holds scipy's
+    # J and Y, the path outside_basis_at_edge takes; the window's step-1
+    # ladders are checked in test_window_ladder_against_mpmath.  Non-integer
+    # orders from X - 40 to X + 160, past the window's top X + 12 X^(1/3) + 25,
+    # at the largest radii the window uses
     import mpmath
 
     with mpmath.workdps(30):
         for x in (480.0, 1000.0):
-            nus = x - 40.0 + 10.0 * np.arange(21) + 0.3
+            nus = x - 40.0 + 25.0 * np.arange(9) + 0.3
             j, _, y, _ = specfun.cylinder_pairs(nus, x)
             for i, nu in enumerate(nus):
                 assert j[i] == pytest.approx(float(mpmath.besselj(nu, x)), rel=1e-12), (nu, x)
@@ -112,15 +114,18 @@ def test_large_orders_against_mpmath():
 
 @pytest.mark.parametrize("x", [30.0, 100.0, 200.0, 480.0])
 def test_derivative_recurrence_against_mpmath(x):
-    # C'_nu = C_{nu-1} - (nu/x) C_nu, for orders nu in [0, 2), where nu - 1
-    # is negative, and across the turning point from x - 3 x^(1/3) to
-    # x + 12 x^(1/3), the span of the mode window; error relative to
-    # |C| + |C'|, worst measured 1.4e-13 (J at x = 480, scipy's own
-    # derivative there: 7.7e-14)
+    # C'_nu = C_{nu-1} - (nu/x) C_nu at isolated orders, the path
+    # outside_basis_at_edge takes: no two orders are 1 apart, so each is a
+    # ladder of one and its lower rung C_{nu-1} is scipy's.  Orders nu in
+    # [0, 2), where nu - 1 is negative, and across the turning point from
+    # x - 3 x^(1/3) to x + 12 x^(1/3); error relative to |C| + |C'|, worst
+    # measured 6.8e-14 (J' at x = 480); the window's step-1 ladders are
+    # checked in test_window_ladder_against_mpmath
     import mpmath
 
-    nus = np.concatenate([np.linspace(0.0, 1.95, 14),
-                          np.linspace(x - 3.0 * x ** (1 / 3), x + 12.0 * x ** (1 / 3), 41)])
+    nus = np.concatenate([np.linspace(0.0, 1.95, 7),
+                          np.linspace(x - 3.0 * x ** (1 / 3), x + 12.0 * x ** (1 / 3), 15)])
+    assert all(len(p) == 1 for p in specfun._ladders(nus))
     _, jp, _, yp = specfun.cylinder_pairs(nus, x)
     with mpmath.workdps(30):
         for name, deriv, fn in (("J'", jp, mpmath.besselj), ("Y'", yp, mpmath.bessely)):
