@@ -149,6 +149,15 @@ def _dirichlet(phi: np.ndarray, a: int, b: int) -> np.ndarray:
     return np.exp(1j * (0.5 * (a + b) * phi)) * ratio
 
 
+def _finite_angles(phi) -> np.ndarray:
+    """phi as a float array, refused unless a scalar or 1-d array of finite
+    angles (a 2-d grid failed deep in the mode sum, a NaN gave NaN)."""
+    p = np.asarray(phi, dtype=float)
+    if p.ndim > 1 or not np.isfinite(p).all():
+        raise ValueError("phi must be a scalar or 1-d array of finite angles")
+    return p
+
+
 def f1_sum(phi, params: VortexParams):
     """Edge-diffraction amplitude f1, summed over the near modes in closed
     form.
@@ -168,10 +177,7 @@ def f1_sum(phi, params: VortexParams):
     ValueError
         If ``phi`` is not a scalar or 1-d array of finite angles.
     """
-    p = np.asarray(phi, dtype=float)
-    if p.ndim > 1 or not np.isfinite(p).all():
-        raise ValueError("phi must be a scalar or 1-d array of finite angles")
-    p = np.atleast_1d(p)
+    p = np.atleast_1d(_finite_angles(phi))
     n, _, near = _mode_window(params)
     f1 = np.zeros(p.shape, dtype=complex)
     if near.any():
@@ -185,8 +191,10 @@ def f1_sum(phi, params: VortexParams):
 def fc_sums(phi, params: VortexParams, table: ModeTable | None = None):
     """Penetration and far-mode amplitudes (f2, f3) from a mode table.
 
-    f2 sums the near-mode coefficients P_n c_n, f3 the far-mode ones; both
-    are rows of the one mode sum of an Exact curve.
+    f2 and f3 are two weight rows of one mode sum, P_n c_n on the near
+    modes and on the far ones, over the kept span from the first to the
+    last mode with c_n != 0 (the modes outside it carry c_n = 0 exactly).
+    An Exact curve takes f2 and f3 from here.
 
     Parameters
     ----------
@@ -202,16 +210,7 @@ def fc_sums(phi, params: VortexParams, table: ModeTable | None = None):
         If ``phi`` is not a scalar or 1-d array of finite angles, or if
         ``table`` was built for other parameters.
     """
-    _, f2, f3 = _table_sums(phi, params, table)
-    return f2, f3
-
-
-def _table_sums(phi, params: VortexParams, table: ModeTable | None):
-    """(f1, f2, f3): f1 from :func:`f1_sum`, and f2 and f3 as two weight
-    rows of one mode sum, P_n c_n on the near modes and P_n c_n on the far
-    ones, over the kept span from the first to the last mode with
-    c_n != 0; the modes outside it carry c_n = 0 exactly."""
-    f1 = f1_sum(phi, params)
+    _finite_angles(phi)
     if table is None:
         table = mode_table(params)
     elif table.params != params:
@@ -221,7 +220,7 @@ def _table_sums(phi, params: VortexParams, table: ModeTable | None):
     n, near = table.n[span], table.near[span]
     pc = flux_phase(n, params.mu) * table.c_n[span]
     f2, f3 = _mode_sum(phi, n, [np.where(near, pc, 0.0), np.where(near, 0.0, pc)])
-    return f1, f2, f3
+    return f2, f3
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +286,7 @@ def cross_section_curve(params: VortexParams, grid: np.ndarray | None = None,
 
     if method == EXACT:
         f_ab = np.asarray(ab_amplitude(grid, mu))
-        f1, f2, f3 = _table_sums(grid, params, table)
+        f1, (f2, f3) = f1_sum(grid, params), fc_sums(grid, params, table)
         value = np.abs(f_ab + f1 + f2 + f3) ** 2
         interference = 2.0 * (f1 * np.conj(f2)).real
         extras = {

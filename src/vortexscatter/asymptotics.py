@@ -29,12 +29,11 @@ Contents
   nothing cancels and no argument is clamped.
 * The classical deflection function 2 d/dn [xi - zeta] and its extremum
   (the rainbow angle -sgn(mu) 2 arcsin(2|mu|/X)).
-* A Poisson-summation / stationary-phase evaluator for oscillatory mode
-  sums (chi' on an array grid, chi'' and chi''' in closed form), with
-  Airy uniformisation where stationary points coalesce.
-* ``bracketed_roots``: every bracket of a grid scan refined at once
-  (safeguarded Newton or Illinois steps on arrays); it serves the
-  stationary points, the Airy inflections and the CLI's fringe peaks.
+* A Poisson-summation / stationary-phase evaluator for the mode sums
+  sum_n e^{i (n phi + chi(n))} at every angle phi from one grid of chi',
+  with Airy uniformisation where stationary points coalesce; and
+  ``bracketed_roots``, every bracket of a grid scan refined at once
+  (safeguarded Newton or Illinois steps), for the engine and the CLI.
 * The penetration amplitude from the WKB phases on scalar or array angles,
   summed by the mode-sum kernel of ``amplitudes`` or by the engine.
 * Closed-form differential cross sections: Fraunhofer diffraction,
@@ -49,8 +48,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -134,35 +132,31 @@ def rainbow_angle(mu: float, X: float) -> float:
 # Poisson summation / stationary phase
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StationaryPoint:
-    n: float
-    l: int
-    convexity: str  # "up" for chi'' < 0, "down" for chi'' > 0
-    contribution: complex
+class StationaryPhaseReport(NamedTuple):
+    """:func:`poisson_stationary_sum` at every angle phi; the field
+    ``angle`` of a row indexes the flattened phi."""
+
+    total: np.ndarray  # point terms + Airy terms + endpoints, shaped like phi
+    endpoints: np.ndarray
+    points: np.ndarray  # (angle, l, n, d2chi, term) per lone stationary point
+    airy: np.ndarray  # (angle, l, n of the inflection, alpha1, alpha3, term) per pair
 
 
-@dataclass(frozen=True)
-class AiryContribution:
-    n_inflection: float
-    l: int
-    alpha1: float
-    alpha3: float
-    contribution: complex
+_ROW = [("angle", np.intp), ("l", np.int64), ("n", float)]
+_POINT_ROW = np.dtype(_ROW + [("d2chi", float), ("term", complex)])
+_AIRY_ROW = np.dtype(_ROW + [("alpha1", float), ("alpha3", float), ("term", complex)])
 
 
-@dataclass
-class StationaryPhaseReport:
-    """Result of the stationary-phase evaluation of sum_n e^{i chi(n)}."""
-
-    points: list[StationaryPoint] = field(default_factory=list)
-    coalescences: list[AiryContribution] = field(default_factory=list)
-    endpoints: complex = 0.0 + 0.0j
-    total: complex = 0.0 + 0.0j
+def _rows(dtype: np.dtype, *columns) -> np.ndarray:
+    rows = np.empty(len(columns[0]), dtype)
+    for name, column in zip(dtype.names, columns):
+        rows[name] = column
+    return rows
 
 
 _COT_CLAMP = 10.0
 _SAMPLES = 2048  # grid on which chi' is sampled to bracket the stationary points
+_BLOCK = 64  # angles per block of the grid scan, which holds _BLOCK x _SAMPLES values
 _ROOT_STEPS = 128  # Illinois halves a bracket at least every second step
 
 
@@ -219,137 +213,140 @@ def bracketed_roots(f, a, b, fa, fb, df=None, xtol: float = 1e-12,
     raise RuntimeError(f"{i.size} bracketed roots not converged after {_ROOT_STEPS} steps")
 
 
-def poisson_stationary_sum(chi: Callable[[np.ndarray], np.ndarray],
-                           dchi: Callable[[np.ndarray], np.ndarray],
-                           window: tuple[float, float],
-                           d2chi: Callable[[np.ndarray], np.ndarray],
-                           d3chi: Callable[[np.ndarray], np.ndarray]) -> StationaryPhaseReport:
-    """Evaluate sum over integers n in [window] of e^{i chi(n)} by Poisson
-    summation and stationary phase.
+Phase = Callable[[np.ndarray], np.ndarray]
 
-    chi' is evaluated once, as an array, on a grid of the window.  For each
-    integer l reachable by chi'/(2 pi), the stationary points
-    chi'(n) = 2 pi l are the exact zeros of chi' - 2 pi l on the grid plus
-    one root per sign change between neighbouring grid points; the roots
-    of every l are refined in one :func:`bracketed_roots` call (Newton
-    steps with chi'', xtol 1e-12).  Each point is weighted with
-    sqrt(2 pi / |chi''|) e^{-+ i pi/4} (sign from the convexity).  Where
-    two stationary points of the same l approach within
-    2 (2/|chi'''|)^(1/3) of an inflection (a root of chi'', refined with
-    chi'''), the pair is replaced by the uniform Airy contribution
-    2 pi (2/|a3|)^(1/3) Ai(sgn(a3) a1 (2/|a3|)^(1/3)) e^{i(chi - 2 pi n l)}
-    evaluated at the inflection (a1 = chi' - 2 pi l there).  The two
-    half-weight endpoint terms of the Poisson formula are added together
-    with the resummed first-order boundary terms of the non-stationary
-    integrals, (1/2i) cot(chi'/2) e^{i chi} at each end (this makes the
-    evaluation exact for linear phases); the cot factor is clamped when
-    an endpoint is itself nearly stationary, where the boundary
-    asymptotics degenerates into a half-saddle.
 
-    Parameters
-    ----------
-    chi, dchi, d2chi, d3chi : callables
-        The phase, smooth on the window, and its first three derivatives.
-        Each is called on 1-d arrays of points and must act elementwise; a
-        constant return value is broadcast.  chi and chi'' are evaluated
-        once on the array of all stationary points and inflections.  Pass
-        closed forms for the derivatives, as chi'' and chi''' set the point
-        weights and the Airy scale.
-    window : (float, float)
-        Integer-inclusive summation window (-s_minus, s_plus).
+def poisson_stationary_sum(chi: Phase, dchi: Phase, window: tuple[float, float], d2chi: Phase,
+                           d3chi: Phase, phi=0.0) -> StationaryPhaseReport:
+    """Sum e^{i (n phi + chi(n))} over the integers n in [window] at every
+    angle of phi, by Poisson summation and stationary phase.
 
-    Raises
-    ------
-    ValueError
-        On non-finite phase data.
-    RuntimeError
-        On a degenerate stationary point outside an Airy pair.
+    chi' is sampled once, on a 2,048-point grid of the window.  Scanned in
+    blocks of angles, it gives the stationary points phi + chi'(n) = 2 pi l
+    of every angle and l, the exact zeros on the grid and one root per sign
+    change, all refined in one :func:`bracketed_roots` call (Newton steps
+    with chi'', xtol 1e-12); each weighs sqrt(2 pi/|chi''|) e^{-+ i pi/4},
+    the sign set by the convexity.  Two points of one angle and l on either
+    side of an inflection (a root of chi'' on the same grid, refined with
+    chi''' once for all angles) and within 2 (2/|a3|)^(1/3) of each other
+    give way to the uniform Airy term
+    2 pi (2/|a3|)^(1/3) Ai(sgn(a3) a1 (2/|a3|)^(1/3)) e^{i (n phi + chi - 2 pi l n)}
+    at the inflection, with a1 = phi + chi' - 2 pi l and a3 = chi''' there.
+    Each end adds its half-weight Poisson term and the resummed first-order
+    boundary term (1/2i) cot(chi'/2) e^{i chi} of the non-stationary
+    integrals (exact for linear phases), the cot clamped where the end is
+    itself nearly stationary, a half-saddle.
+
+    chi, dchi, d2chi and d3chi are the phase without its n phi term, smooth
+    on the window, and its first three derivatives in closed form; each
+    acts elementwise on 1-d arrays, and a constant is broadcast.  chi is
+    evaluated once, on all points, inflections and both ends.  The window
+    (-s_minus, s_plus) is integer-inclusive; phi defaults to 0, the sum of
+    e^{i chi(n)} alone.  Raises ValueError on an empty window or non-finite
+    window, angles or phase data, and RuntimeError on a degenerate lone
+    stationary point.
     """
     a, b = float(window[0]), float(window[1])
-    if not (b > a):
-        raise ValueError("empty stationary-phase window")
+    if not (math.isfinite(a) and math.isfinite(b) and b > a):
+        raise ValueError(f"stationary-phase window must be finite and non-empty, got {window}")
+    shape, angles = np.shape(phi), np.asarray(phi, dtype=float).ravel()
 
     def on(fn, n):
-        return np.broadcast_to(fn(n), n.shape)
+        v = fn(n)
+        return v if np.shape(v) == n.shape else np.broadcast_to(v, n.shape)
 
     grid = np.linspace(a, b, _SAMPLES)  # hits both ends exactly
-    dvals = on(dchi, grid)
-    if not np.all(np.isfinite(dvals)):
-        raise ValueError("phase derivative is not finite on the window")
+    slope = on(dchi, grid)
+    if not (np.isfinite(slope).all() and np.isfinite(angles).all()):
+        raise ValueError("phi and the phase derivative on the window must be finite")
 
-    l_lo = math.floor(dvals.min() / (2.0 * math.pi)) - 1
-    l_hi = math.ceil(dvals.max() / (2.0 * math.pi)) + 1
-    targets = 2.0 * math.pi * np.arange(l_lo, l_hi + 1)
-    sign = np.sign(dvals - targets[:, None])
-    zr, zc = np.nonzero(sign == 0.0)
-    br, bc = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
-    roots = bracketed_roots(lambda n, i: dchi(n) - targets[br[i]], grid[bc], grid[bc + 1],
-                            dvals[bc] - targets[br], dvals[bc + 1] - targets[br],
-                            df=lambda n, i: d2chi(n))
-    rows, pts = np.concatenate([zr, br]), np.concatenate([grid[zc], roots])
+    brackets = []
+    for start in range(0, max(angles.size, 1), _BLOCK):  # no angles: one empty block
+        d = (angles[start:start + _BLOCK, None] + slope).ravel()  # one row of samples per angle
+        # the lowest level l with 2 pi l >= d, the quotient's rounding corrected
+        below = np.ceil(d / (2.0 * math.pi)).astype(np.int64)
+        below += 2.0 * math.pi * below < d
+        below -= 2.0 * math.pi * (below - 1) >= d
+        level = 2.0 * math.pi * below == d
+        # d crosses the levels above those <= the lower and below the upper of two samples
+        first = np.minimum(below[:-1] + level[:-1], below[1:] + level[1:])
+        count = np.maximum(below[:-1], below[1:]) - first
+        count[_SAMPLES - 1::_SAMPLES] = 0  # no step from one angle's row to the next
+        j = np.flatnonzero(count > 0)
+        reps = count[j]
+        up = np.repeat(first[j] - np.cumsum(reps) + reps, reps) + np.arange(reps.sum())
+        z, j = np.flatnonzero(level), np.repeat(j, reps)  # a sample on a level: zero-width bracket
+        lo, hi = np.concatenate([z, j]), np.concatenate([z, j + 1])
+        lev = np.concatenate([below[z], up])
+        brackets.append((start + lo // _SAMPLES, lev, lo % _SAMPLES, hi % _SAMPLES,
+                         d[lo] - 2.0 * math.pi * lev, d[hi] - 2.0 * math.pi * lev))
+    ang, ls, lo, hi, fa, fb = map(np.concatenate, zip(*brackets))
+    pts = bracketed_roots(lambda n, i: angles[ang[i]] + dchi(n) - 2.0 * math.pi * ls[i],
+                          grid[lo], grid[hi], fa, fb, df=lambda n, i: d2chi(n))
     inner = (a + 1e-9 < pts) & (pts < b - 1e-9)
-    order = np.lexsort((pts[inner], rows[inner]))  # by l, then by n
-    rows, pts = rows[inner][order], pts[inner][order]
-    curv = on(d2chi, pts)
-
-    # neighbouring points of one l on either side of an inflection may
-    # form an Airy pair
-    j = np.nonzero((rows[:-1] == rows[1:]) & (np.sign(curv[:-1]) * np.sign(curv[1:]) < 0.0))[0]
-    n_inf = bracketed_roots(lambda n, i: on(d2chi, n), pts[j], pts[j + 1], curv[j], curv[j + 1],
-                            df=lambda n, i: d3chi(n))
-    chis = on(chi, np.concatenate([pts, n_inf, [a, b]]))
-    phase = chis[:-2] - targets[np.concatenate([rows, rows[j]])] * np.concatenate([pts, n_inf])
-    a1s = (on(dchi, n_inf) - targets[rows[j]]).tolist()
-
-    report = StationaryPhaseReport()
-    free = np.ones(pts.size, dtype=bool)
-    for k, (m, a3) in enumerate(zip(j.tolist(), on(d3chi, n_inf).tolist())):
-        if not (free[m] and free[m + 1]) or a3 == 0.0 or not math.isfinite(a3):
-            continue
-        scale = (2.0 / abs(a3)) ** (1.0 / 3.0)
-        if pts[m + 1] - pts[m] < 2.0 * scale:
-            airy_arg = math.copysign(1.0, a3) * a1s[k] * scale
-            contrib = (cmath.exp(1j * phase[pts.size + k]) * 2.0 * math.pi * scale
-                       * specfun.airy_ai(airy_arg))
-            report.coalescences.append(AiryContribution(
-                n_inflection=float(n_inf[k]), l=l_lo + int(rows[m]), alpha1=a1s[k], alpha3=a3,
-                contribution=contrib))
-            free[m] = free[m + 1] = False
-
-    curv, bad = curv[free], ~np.isfinite(curv[free]) | (curv[free] == 0.0)
+    order = np.lexsort((pts[inner], ls[inner], ang[inner]))  # by angle, l, then n
+    ang, ls, pts = ang[inner][order], ls[inner][order], pts[inner][order]
+    curv, tl = on(d2chi, pts), 2.0 * math.pi * ls
+    bad = ~np.isfinite(curv) | (curv == 0.0)  # never in an Airy pair, which needs two signs
     if bad.any():
-        raise RuntimeError(f"degenerate stationary point at n={pts[free][bad][0]}")
-    contrib = (np.exp(1j * phase[:pts.size][free]) * np.sqrt(2.0 * math.pi / np.abs(curv))
-               * np.where(curv < 0.0, cmath.exp(-1j * math.pi / 4.0), cmath.exp(1j * math.pi / 4.0)))
-    report.points = [StationaryPoint(n=n, l=l_lo + r, convexity="up" if c < 0.0 else "down",
-                                     contribution=z)
-                     for n, r, c, z in zip(pts[free].tolist(), rows[free].tolist(),
-                                           curv.tolist(), contrib.tolist())]
+        raise RuntimeError(f"degenerate stationary point at n={pts[bad][0]}")
 
-    def _endpoint(d_end: float, chi_end: float, outward: float) -> complex:
-        half = d_end / 2.0
-        cot = math.cos(half) / math.sin(half) if math.sin(half) != 0.0 else math.inf
-        cot = max(-_COT_CLAMP, min(_COT_CLAMP, cot))
-        return cmath.exp(1j * chi_end) * (0.5 + outward * cot / 2j)
+    # neighbours of one angle and l on either side of an inflection may be an Airy pair
+    m = np.nonzero((ang[:-1] == ang[1:]) & (ls[:-1] == ls[1:])
+                   & (np.sign(curv[:-1]) * np.sign(curv[1:]) < 0.0))[0]
+    n_inf, free, airy = np.empty(0), np.ones(pts.size, dtype=bool), np.zeros(0, _AIRY_ROW)
+    if m.size:
+        bend = on(d2chi, grid)
+        s = np.sign(bend)
+        c = np.nonzero(s[:-1] * s[1:] < 0.0)[0]
+        n_inf = np.sort(np.concatenate([grid[s == 0.0], bracketed_roots(
+            lambda n, i: d2chi(n), grid[c], grid[c + 1], bend[c], bend[c + 1],
+            df=lambda n, i: d3chi(n))]))
+        k = np.searchsorted(n_inf, pts[m], side="right")  # the first inflection past the left point
+        between = np.append(n_inf, np.inf)[k] < pts[m + 1]
+        a3 = np.append(on(d3chi, n_inf), 0.0)[k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = (2.0 / np.abs(a3)) ** (1.0 / 3.0)
+        ok = between & (a3 != 0.0) & (pts[m + 1] - pts[m] < 2.0 * scale)
+        # left to right: in a run of pairs each sharing a point with the last, every second
+        q = np.arange(m.size)
+        run = np.append(False, ok[1:] & ok[:-1] & (m[1:] == m[:-1] + 1))
+        take = ok & ((q - np.maximum.accumulate(np.where(run, 0, q))) % 2 == 0)
+        m, k, a3, scale = m[take], k[take], a3[take], scale[take]
+        alpha1 = angles[ang[m]] + on(dchi, n_inf)[k] - tl[m]
+        free[m] = free[m + 1] = False
+    chis = on(chi, np.concatenate([pts, n_inf, [a, b]]))
+    if m.size:
+        phase = chis[pts.size + k] + n_inf[k] * angles[ang[m]] - tl[m] * n_inf[k]
+        airy = _rows(_AIRY_ROW, ang[m], ls[m], n_inf[k], alpha1, a3, np.exp(1j * phase) * 2.0
+                     * math.pi * scale * specfun.airy_ai(np.sign(a3) * alpha1 * scale))
 
-    (d_a, d_b), (chi_a, chi_b) = dvals[[0, -1]].tolist(), chis[-2:].tolist()
-    report.endpoints = _endpoint(d_b, chi_b, +1.0) + _endpoint(d_a, chi_a, -1.0)
-    report.total = (sum(p.contribution for p in report.points)
-                    + sum(c.contribution for c in report.coalescences)
-                    + report.endpoints)
-    return report
+    term = (np.exp(1j * (chis[:pts.size] + pts * angles[ang] - tl * pts))
+            * np.sqrt(2.0 * math.pi / np.abs(curv))
+            * np.where(curv < 0.0, cmath.exp(-1j * math.pi / 4.0), cmath.exp(1j * math.pi / 4.0)))
+    points = _rows(_POINT_ROW, ang, ls, pts, curv, term)[free]
+
+    half = (angles[:, None] + slope[[0, -1]]) / 2.0
+    with np.errstate(divide="ignore"):  # the (1/2i) cot terms, outward -1 at a and +1 at b
+        cot = np.minimum(np.maximum(np.cos(half) / np.sin(half), -_COT_CLAMP), _COT_CLAMP)
+    end = (np.exp(1j * (chis[-2:] + np.outer(angles, [a, b]))) * (0.5 + [0.5j, -0.5j] * cot)).sum(1)
+    total = np.zeros(angles.size, dtype=complex)
+    for rows in (points, airy):  # each angle's terms added in row order
+        np.add.at(total, rows["angle"], rows["term"])
+    return StationaryPhaseReport((total + end).reshape(shape)[()], end.reshape(shape)[()],
+                                 points, airy)
 
 
 # ---------------------------------------------------------------------------
 # penetration amplitude from the WKB phases
 # ---------------------------------------------------------------------------
 
-def _penetration_phase(phi: float, mu: float, X: float):
-    """chi(n) = n phi + (|n| - |n-mu|) pi + 2 [zeta_n - xi_n] and its first
-    three n-derivatives in closed form, all taking arrays.  The
-    continuous (|n| - |n-mu|) pi representation of the flux phase splices
-    smoothly into the WKB actions: the corner slopes at n = 0 and n = mu
-    cancel exactly.  With R = X^2 + 4 mu n and W = sqrt(X^2 - (n-mu)^2),
+def _penetration_phase(mu: float, X: float):
+    """chi(n) = (|n| - |n-mu|) pi + 2 [zeta_n - xi_n] (the engine adds n phi)
+    and its first three n-derivatives in closed form, all taking arrays.
+    The continuous (|n| - |n-mu|) pi representation of the flux phase
+    splices smoothly into the WKB actions: the corner slopes at n = 0 and
+    n = mu cancel exactly.  With R = X^2 + 4 mu n and W = sqrt(X^2 - (n-mu)^2),
 
         chi''  = -4 mu (n + mu) / (R W),
         chi''' = -4 mu / (R W) [1 - (n + mu) (4 mu/R - (n - mu)/W^2)],
@@ -360,12 +357,12 @@ def _penetration_phase(phi: float, mu: float, X: float):
     def chi(n):
         n, ok, zeta, xi = _wkb_phases(n, mu, X)
         _require_allowed(n, ok, mu, X)
-        return n * phi + (np.abs(n) - np.abs(n - mu)) * math.pi + 2.0 * (zeta - xi)
+        return (np.abs(n) - np.abs(n - mu)) * math.pi + 2.0 * (zeta - xi)
 
     def dchi(n):
         n = np.asarray(n, dtype=float)
         corners = np.where(n >= 0.0, math.pi, -math.pi) - np.where(n >= mu, math.pi, -math.pi)
-        return phi + corners - deflection(n, mu, X)
+        return corners - deflection(n, mu, X)
 
     def d2chi(n):
         return -4.0 * mu * (n + mu) / ((X * X + 4.0 * mu * n) * np.sqrt(X * X - (n - mu) ** 2))
@@ -384,8 +381,8 @@ def f2_asymptotic(phi, mu: float, X: float, mode: str = "direct"):
              e^{2 i (zeta_n - xi_n)},
 
     summed directly (``mode="direct"``: the weights once per call, then
-    ``amplitudes._mode_sum`` over all angles) or via the stationary-phase
-    engine (``mode="stationary"``, one run per angle).  Modes with no
+    ``amplitudes._mode_sum`` over all angles) or by one stationary-phase
+    engine call for all angles (``mode="stationary"``).  Modes with no
     classical path to the edge are exponentially suppressed and skipped.
     A scalar angle gives a complex, a 1-d array the scalar calls' values.
     """
@@ -409,12 +406,10 @@ def f2_asymptotic(phi, mu: float, X: float, mode: str = "direct"):
     if mode == "stationary":
         # stay clear of the window edges where zeta loses its classical
         # region; the edge modes do not contribute to penetration
-        window, f2 = (int(modes[0]) + 1e-6 * X, int(modes[-1]) - 1e-6 * X), []
-        for a in np.atleast_1d(p).tolist():
-            chi, dchi, d2chi, d3chi = _penetration_phase(a, mu, X)
-            report = poisson_stationary_sum(chi, dchi, window, d2chi, d3chi)
-            f2.append(-1j / math.sqrt(2.0 * math.pi) * report.total)
-        return _like(phi, np.array(f2))
+        window = (int(modes[0]) + 1e-6 * X, int(modes[-1]) - 1e-6 * X)
+        chi, dchi, d2chi, d3chi = _penetration_phase(mu, X)
+        report = poisson_stationary_sum(chi, dchi, window, d2chi, d3chi, p)
+        return _like(phi, -1j / math.sqrt(2.0 * math.pi) * report.total)
 
     raise ValueError(f"unknown mode {mode!r}; expected 'direct' or 'stationary'")
 

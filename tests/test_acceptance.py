@@ -351,7 +351,7 @@ def test_criterion_11_stationary_phase_engine():
     rep = asy.poisson_stationary_sum(chi, lambda n: beta * n * n + alpha,
                                      (-100, 100), d2chi=lambda n: 2 * beta * n,
                                      d3chi=lambda n: 2 * beta)
-    airy_taken = bool(rep.coalescences) and not rep.points
+    airy_taken = len(rep.airy) > 0 and not len(rep.points)
     b = brute(chi, -100, 100)
     errs["cubic"] = abs(rep.total - b) / abs(b)
 

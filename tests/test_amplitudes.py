@@ -234,7 +234,7 @@ def test_mode_sums_match_fsum_oracle_across_block_edges(X, mu, kappa):
     refs = [_fsum_amplitudes(g, p, tab) for g in grids]
     peak = np.abs(refs[0][0]).max()  # peak |f1|, on the 2001-angle grid
     for g, ref in zip(grids, refs):
-        got = np.array(amp._table_sums(g, p, tab))
+        got = np.array([amp.f1_sum(g, p), *amp.fc_sums(g, p, tab)])
         assert np.abs(got - ref).max() <= 1e-13 * peak, len(g)
 
 
@@ -247,7 +247,7 @@ def test_f2_forward_sum_matches_fsum_oracle(kappa):
     tab = mode_table(p)
     g = np.array([-1e-3, 1e-3])
     ref = _fsum_amplitudes(g, p, tab)[1]
-    f2 = amp._table_sums(g, p, tab)[1]
+    f2 = amp.fc_sums(g, p, tab)[0]
     assert (np.abs(f2 - ref) <= 1e-14 * np.abs(ref)).all()
 
 
@@ -291,7 +291,7 @@ def test_mode_sums_match_fsum_oracle_on_the_cli_grid():
     tab = mode_table(p)
     g = Scenario(p, grid=(-0.6, 0.6, 2001)).angles()
     ref = _fsum_amplitudes(g, p, tab)
-    got = np.array(amp._table_sums(g, p, tab))
+    got = np.array([amp.f1_sum(g, p), *amp.fc_sums(g, p, tab)])
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref[0]).max()
 
 
@@ -396,15 +396,16 @@ def test_exact_curve_continuous_as_the_last_near_mode_leaves():
 def test_exact_curve_sums_the_kept_span_in_one_call(monkeypatch):
     # f2 and f3 are two weight rows of one call over the kept span, whose
     # ends are the outermost modes with c_n != 0; f1 is in closed form and
-    # makes no call
-    calls = []
+    # makes no call, and fc_sums does not compute f1
+    calls, f1_calls = [], []
 
     def counted(phi, ns, weights):
         calls.append((np.shape(weights), int(ns[0]), int(ns[-1])))
         return mode_sum(phi, ns, weights)
 
-    mode_sum = amp._mode_sum
+    mode_sum, f1_sum = amp._mode_sum, amp.f1_sum
     monkeypatch.setattr(amp, "_mode_sum", counted)
+    monkeypatch.setattr(amp, "f1_sum", lambda *args: f1_calls.append(args) or f1_sum(*args))
     g = amp.default_angle_grid(301)
     for p in (VortexParams(X=100.0, mu=10.37, kappa=0.0),
               VortexParams(X=30.0, mu=-4.6, kappa=math.inf)):
@@ -412,12 +413,18 @@ def test_exact_curve_sums_the_kept_span_in_one_call(monkeypatch):
         live = tab.n[tab.c_n != 0]
         assert 0 < len(live) < len(tab.n)
         calls.clear()
+        f1_calls.clear()
         amp.cross_section_curve(p, g, amp.EXACT)
         assert calls == [((2, live[-1] - live[0] + 1), live[0], live[-1])]
+        assert len(f1_calls) == 1
         calls.clear()
         amp.f1_sum(g, p)
         amp.f1_sum(0.3, p)
         assert calls == []
+        f1_calls.clear()
+        amp.fc_sums(g, p, tab)
+        amp.fc_sums(0.3, p)
+        assert f1_calls == [] and len(calls) == 2
 
 
 def test_spin_flip_curve_symmetry_without_shell():

@@ -5,6 +5,7 @@ import cmath
 import functools
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -263,9 +264,9 @@ def test_engine_quadratic_phase():
                                  d3chi=lambda n: 0.0)
     b = brute_force_sum(lambda n: -a * n * n, -100, 100)
     assert abs(rep.total - b) <= 0.03 * abs(b)
-    assert len(rep.points) == 1
-    assert rep.points[0].convexity == "up"
-    assert rep.points[0].n == pytest.approx(0.0, abs=1e-9)
+    assert len(rep.points) == 1 and not len(rep.airy)
+    assert rep.points["d2chi"][0] < 0.0  # a maximum of the phase
+    assert rep.points["n"][0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_engine_linear_phase_endpoints_only():
@@ -273,7 +274,7 @@ def test_engine_linear_phase_endpoints_only():
     rep = poisson_stationary_sum(lambda n: c * n, lambda n: c, (-500, 500),
                                  d2chi=lambda n: 0.0, d3chi=lambda n: 0.0)
     b = brute_force_sum(lambda n: c * n, -500, 500)
-    assert not rep.points and not rep.coalescences
+    assert not len(rep.points) and not len(rep.airy)
     assert rep.total == rep.endpoints
     # the window holds 1001 unit terms yet the sum is O(1), and the
     # resummed endpoint form reproduces it exactly
@@ -288,8 +289,8 @@ def test_engine_coalescing_cubic_takes_airy_branch():
                                  d2chi=lambda n: 2 * beta * n,
                                  d3chi=lambda n: 2 * beta)
     b = brute_force_sum(chi, -100, 100)
-    assert rep.coalescences and not rep.points
-    assert rep.coalescences[0].alpha3 == pytest.approx(2 * beta)
+    assert len(rep.airy) and not len(rep.points)
+    assert rep.airy["alpha3"][0] == pytest.approx(2 * beta)
     assert abs(rep.total - b) <= 0.05 * abs(b)
 
 
@@ -300,8 +301,8 @@ def test_engine_separated_cubic_uses_standard_branch():
                                  d2chi=lambda n: 2 * beta * n,
                                  d3chi=lambda n: 2 * beta)
     b = brute_force_sum(chi, -100, 100)
-    assert len(rep.points) == 2 and not rep.coalescences
-    assert {p.convexity for p in rep.points} == {"up", "down"}
+    assert len(rep.points) == 2 and not len(rep.airy)
+    assert set(np.sign(rep.points["d2chi"])) == {-1.0, 1.0}
     assert abs(rep.total - b) <= 0.05 * abs(b)
 
 
@@ -311,15 +312,50 @@ def test_engine_rejects_bad_input():
         poisson_stationary_sum(lambda n: n, lambda n: math.nan, (-10, 10), zero, zero)
     with pytest.raises(ValueError):
         poisson_stationary_sum(lambda n: n, lambda n: 1.0, (10, 10), zero, zero)
+    # an infinite window end gave nan+nanj after a numpy RuntimeWarning
+    for window in ((-10, math.inf), (-math.inf, 10), (math.nan, 10)):
+        with pytest.raises(ValueError, match="window must be finite and non-empty"):
+            poisson_stationary_sum(lambda n: n, lambda n: 1.0, window, zero, zero)
+    with pytest.raises(ValueError, match="must be finite"):
+        poisson_stationary_sum(lambda n: n, lambda n: 1.0, (-10, 10), zero, zero, [0.1, math.nan])
 
 
 def test_engine_report_total_is_sum_of_parts():
     a = 0.01
     rep = poisson_stationary_sum(lambda n: -a * n * n, lambda n: -2 * a * n,
                                  (-100, 100), lambda n: -2 * a, lambda n: 0.0)
-    parts = (sum(p.contribution for p in rep.points)
-             + sum(c.contribution for c in rep.coalescences) + rep.endpoints)
+    parts = sum(rep.points["term"].tolist()) + sum(rep.airy["term"].tolist()) + rep.endpoints
     assert rep.total == parts
+    # at every angle of an array call, from the rows that carry its index
+    X, mu = 100.0, -3.596
+    phis = np.array([-0.3, 0.093, 0.135, 0.5])
+    chi, dchi, d2chi, d3chi = asy._penetration_phase(mu, X)
+    rep = poisson_stationary_sum(chi, dchi, penetration_window(mu, X), d2chi, d3chi, phis)
+    assert rep.total.shape == rep.endpoints.shape == phis.shape
+    assert len(rep.airy) and len(rep.points)
+    for j in range(len(phis)):
+        parts = (sum(rep.points["term"][rep.points["angle"] == j].tolist())
+                 + sum(rep.airy["term"][rep.airy["angle"] == j].tolist()) + rep.endpoints[j])
+        assert rep.total[j] == parts
+
+
+def test_engine_takes_overlapping_airy_pairs_left_to_right():
+    # neighbouring pairs that share a point are taken as a left-to-right
+    # pass takes them: of a run of two the first, of a run of three the
+    # first and the third
+    b, g = 1e-6, 3e-4  # chi' = b n^3 - g n: points 0, +-17.3, inflections +-10
+    rep = poisson_stationary_sum(lambda n: b * n ** 4 / 4 - g * n * n / 2,
+                                 lambda n: b * n ** 3 - g * n, (-100, 100),
+                                 lambda n: 3 * b * n * n - g, lambda n: 6 * b * n)
+    assert rep.airy["n"] == pytest.approx([-10.0], abs=1e-9)
+    assert rep.points["n"] == pytest.approx([math.sqrt(g / b)], abs=1e-9)
+    b = 1e-7  # chi' = b (n^2 - 25)(n^2 - 100): points +-5, +-10, inflections 0, +-7.9
+    rep = poisson_stationary_sum(lambda n: b * (n ** 5 / 5 - 125 * n ** 3 / 3 + 2500 * n),
+                                 lambda n: b * (n * n - 25) * (n * n - 100), (-30, 30),
+                                 lambda n: b * (4 * n ** 3 - 250 * n),
+                                 lambda n: b * (12 * n * n - 250))
+    assert rep.airy["n"] == pytest.approx([-math.sqrt(62.5), math.sqrt(62.5)], abs=1e-9)
+    assert not len(rep.points)
 
 
 def oracle_roots(dchi, target, window):
@@ -342,6 +378,7 @@ def penetration_window(mu, X):
 
 @pytest.mark.parametrize("case", ["quadratic", "separated cubic", "penetration"])
 def test_engine_finds_every_stationary_point(case):
+    phis = [0.0]
     if case == "quadratic":
         a = 0.01
         phase = (lambda n: -a * n * n, lambda n: -2 * a * n, lambda n: -2 * a, lambda n: 0.0)
@@ -351,23 +388,26 @@ def test_engine_finds_every_stationary_point(case):
         phase = (lambda n: beta * n ** 3 / 3 + alpha * n, lambda n: beta * n * n + alpha,
                  lambda n: 2 * beta * n, lambda n: 2 * beta)
         window = (-100.0, 100.0)
-    else:
+    else:  # three angles in one call, each checked on its own rows
         mu, X = 10.0, 100.0
-        phase = asy._penetration_phase(-0.3, mu, X)
+        phase = asy._penetration_phase(mu, X)
         window = penetration_window(mu, X)
-    rep = poisson_stationary_sum(phase[0], phase[1], window, phase[2], phase[3])
-    dvals = phase[1](np.linspace(*window, 16 * 2048))
+        phis = [-0.3, -0.4, 0.2]
+    rep = poisson_stationary_sum(phase[0], phase[1], window, phase[2], phase[3], phis)
     found = 0
-    for l in range(math.floor(dvals.min() / (2 * math.pi)) - 1,
-                   math.ceil(dvals.max() / (2 * math.pi)) + 2):
-        roots = oracle_roots(phase[1], 2 * math.pi * l, window)
-        points = [p.n for p in rep.points if p.l == l]
-        pairs = [c for c in rep.coalescences if c.l == l]
-        for n in points:
-            assert min(abs(n - r) for r in roots) <= 1e-9
-        assert len(roots) == len(points) + 2 * len(pairs)
-        found += len(roots)
-    assert found >= 1
+    for j, phi in enumerate(phis):
+        slope = lambda n: phi + phase[1](n)
+        points, pairs = rep.points[rep.points["angle"] == j], rep.airy[rep.airy["angle"] == j]
+        dvals = slope(np.linspace(*window, 16 * 2048))
+        for l in range(math.floor(dvals.min() / (2 * math.pi)) - 1,
+                       math.ceil(dvals.max() / (2 * math.pi)) + 2):
+            roots = oracle_roots(slope, 2 * math.pi * l, window)
+            for n in points["n"][points["l"] == l]:
+                assert min(abs(n - r) for r in roots) <= 1e-9
+            lone, paired = np.count_nonzero(points["l"] == l), np.count_nonzero(pairs["l"] == l)
+            assert len(roots) == lone + 2 * paired
+            found += len(roots)
+    assert found >= len(phis)
 
 
 ENGINE = asy.poisson_stationary_sum
@@ -392,11 +432,11 @@ def f2_engine_report(monkeypatch, phi, mu, X):
 def test_f2_airy_coefficient_is_closed_form(monkeypatch, X, mu, phi):
     # at the rainbow mode n = -mu, chi''' = -4 mu / (X^2 - 4 mu^2)^(3/2)
     rep = f2_engine_report(monkeypatch, phi, mu, X)
-    assert rep.coalescences
+    assert len(rep.airy)
     expected = -4.0 * mu / (X * X - 4.0 * mu * mu) ** 1.5
-    for c in rep.coalescences:
-        assert c.n_inflection == pytest.approx(-mu, abs=1e-9)
-        assert c.alpha3 == pytest.approx(expected, rel=1e-12)
+    for n, alpha3 in zip(rep.airy["n"], rep.airy["alpha3"]):
+        assert n == pytest.approx(-mu, abs=1e-9)
+        assert alpha3 == pytest.approx(expected, rel=1e-12)
 
 
 def test_f2_stationary_does_not_depend_on_roundoff(monkeypatch):
@@ -406,8 +446,8 @@ def test_f2_stationary_does_not_depend_on_roundoff(monkeypatch):
     clean = [f2_asymptotic(phi, mu, X, "stationary") for phi in phis]
     exact_phase = asy._penetration_phase
 
-    def nudged_phase(phi, mu, X):
-        chi, dchi, d2chi, d3chi = exact_phase(phi, mu, X)
+    def nudged_phase(mu, X):
+        chi, dchi, d2chi, d3chi = exact_phase(mu, X)
         calls = itertools.count()
 
         def dchi_ulp(n):
@@ -433,7 +473,7 @@ def test_penetration_phase_derivatives_match_differences(X, mu):
     # weak (2|mu| < X) and strong field, both signs of mu, away from the
     # representation corners n = 0 and n = mu and from the zero of chi''
     # at n = -mu
-    _, dchi, d2chi, d3chi = asy._penetration_phase(0.2, mu, X)
+    _, dchi, d2chi, d3chi = asy._penetration_phase(mu, X)
     h = 1e-4 * X
     checked = 0
     for n in np.linspace(mu - 0.8 * X, mu + 0.8 * X, 17):
@@ -449,11 +489,13 @@ def test_penetration_phase_derivatives_match_differences(X, mu):
 def test_penetration_phase_has_no_roundoff_floor():
     # at a stationary point of this small-flux case chi used to jump by
     # 1.1e-9 over a step of 1e-10, as arccos magnified one ulp of
-    # t1 = 1 - 2.1e-6 about 480-fold (NOTES.md); the step must follow chi'
+    # t1 = 1 - 2.1e-6 about 480-fold (NOTES.md); the step of the engine's
+    # phase n phi + chi must follow phi + chi'
     X, mu, phi, n, h = 480.0, 3.398, -0.00413, -471.61, 1e-10
-    chi, dchi, _, _ = asy._penetration_phase(phi, mu, X)
-    jump = np.diff(chi(np.array([n, n + h])))[0]
-    assert abs(jump - float(dchi(n)) * h) <= 1e-12
+    chi, dchi, _, _ = asy._penetration_phase(mu, X)
+    x = np.array([n, n + h])
+    jump = np.diff(chi(x) + x * phi)[0]
+    assert abs(jump - (phi + float(dchi(n))) * h) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +511,10 @@ def grid_brackets(f, lo, hi, samples):
 
 
 def penetration_brackets(X, mu, phi):
-    """The engine's brackets of chi' - 2 pi l for every l, with their targets."""
-    _, dchi, d2chi, _ = asy._penetration_phase(phi, mu, X)
+    """The engine's brackets of phi + chi' - 2 pi l for every l, with their
+    targets, and phi + chi' and chi''."""
+    _, slope, d2chi, _ = asy._penetration_phase(mu, X)
+    dchi = lambda n: phi + slope(n)
     window = penetration_window(mu, X)
     d = dchi(np.linspace(*window, 2048))
     out = []
@@ -605,6 +649,46 @@ def test_f2_array_equals_scalar_calls_bit_for_bit(mode, sign, X):
     scalars = [f2_asymptotic(phi, mu, X, mode) for phi in grid.tolist()]
     assert all(type(v) is complex for v in scalars)
     assert np.array_equal(f2_asymptotic(grid, mu, X, mode), np.array(scalars))
+
+
+@pytest.mark.parametrize("mode", ["direct", "stationary"])
+def test_f2_of_no_angles_is_an_empty_array(mode):
+    out = f2_asymptotic(np.array([]), 10.0, 100.0, mode)
+    assert out.shape == (0,) and out.dtype == complex
+
+
+def test_f2_stationary_memory_on_a_fine_grid():
+    # the grid scan runs one block of angles at a time: an angles x levels
+    # x samples array would take hundreds of MB here
+    grid = default_angle_grid(2001)
+    tracemalloc.start()
+    try:
+        f2 = f2_asymptotic(grid, 48.37, 480.0, "stationary")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(f2).all()
+    assert peak < 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_f2_stationary_samples_the_phase_once_for_all_angles(monkeypatch):
+    # chi' is sampled on the engine's grid once per call, not once per angle
+    sizes = []
+    exact_phase = asy._penetration_phase
+
+    def spied_phase(mu, X):
+        chi, dchi, d2chi, d3chi = exact_phase(mu, X)
+
+        def dchi_spy(n):
+            sizes.append(np.size(n))
+            return dchi(n)
+
+        return chi, dchi_spy, d2chi, d3chi
+
+    monkeypatch.setattr(asy, "_penetration_phase", spied_phase)
+    f2 = f2_asymptotic(default_angle_grid(301), 10.37, 100.0, "stationary")
+    assert len(f2) == 301
+    assert sizes.count(asy._SAMPLES) == 1
 
 
 @functools.lru_cache(maxsize=None)
