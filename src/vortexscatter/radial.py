@@ -11,10 +11,10 @@ For each angular-momentum mode n the interior equation
 
 has, for the uniform field, the regular Landau-level solution
 tau = x^|n| e^{-z/2} M(a, |n|+1, z) with z = |mu| x^2/X^2 (Kummer's
-function, DLMF 13.2).  Its edge data at x = X come from a backward
-recurrence in the second Kummer parameter and are matched against the
-outside cylinder-function basis of order nu = |n - mu| through the
-delta-shell jump condition
+function, DLMF 13.2).  Its edge data at x = X, for the modes of the
+window below only, come from a backward recurrence in the second Kummer
+parameter and are matched against the outside cylinder-function basis of
+order nu = |n - mu| through the delta-shell jump condition
 
     psi(X) = tau(X),    psi'(X) = tau'(X) + kappa tau(X).
 
@@ -129,8 +129,12 @@ def _mode_window(params: VortexParams) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """The mode window round(mu) - n_max <= n <= round(mu) + n_max of every
     table and mode sum, as (n, nu = |n - mu|, near mask nu <= X).  Near
     modes have their edge in the oscillatory region; the far ones sit
-    under the centrifugal barrier."""
+    under the centrifugal barrier.  A window reaching |n| >= 2^53, where
+    float64 stops holding every integer, raises :class:`SolverFailure`."""
     c = round(params.mu)
+    if abs(c) + params.n_max >= 2 ** 53:
+        raise SolverFailure(f"X={params.X}, mu={params.mu}: the mode window reaches "
+                            f"|n| >= 2^53, where float64 mode indices stop being exact")
     n = np.arange(c - params.n_max, c + params.n_max + 1)
     nu = np.abs(n - params.mu)
     return n, nu, nu <= params.X
@@ -161,7 +165,7 @@ def _start_pad(X: float) -> int:
     return math.ceil(12.0 * X ** (1.0 / 3.0) + 25.0)
 
 
-def _kummer_branch(X, w, c0: int, top: int, m_max: int) -> list:
+def _kummer_branch(X, w, c0: int, top: int, lo: int, hi: int) -> list:
     """Backward recurrence of one Kummer branch at the edge z = |w|.
 
     For fixed Kummer a = c0 - X^2/(4 w), the edge ratios
@@ -171,51 +175,56 @@ def _kummer_branch(X, w, c0: int, top: int, m_max: int) -> list:
         q_b = b - 1 + w - (w (b - c0) + X^2/4) / q_{b+1},
 
     stable downwards since M is the minimal solution as b grows.  From
-    q_{top+1} = top + 1, returns (q_{m+1}, sign of M(a, m+1, w)) for every
-    m <= m_max: the sign is +1 at the top and flips at each negative
-    ratio.  An exact zero ratio (an exact zero of M) is replaced by a
-    tiny one, the limit the next step needs.
+    q_{top+1} = top + 1 down to b = lo + 1, returns (q_{m+1}, sign of
+    M(a, m+1, w)) at index m - lo for lo <= m <= hi: the sign is +1 at the
+    top and flips at each negative ratio.  An exact zero ratio (an exact
+    zero of M) is replaced by a tiny one, the limit the next step needs.
     """
     quarter = X * X / 4
     q = top + 1
     sign = 1.0
-    out = [None] * (m_max + 1)
-    for b in range(top, 0, -1):
+    out = [None] * (hi - lo + 1)
+    for b in range(top, lo, -1):
         if q < 0:
             sign = -sign
         elif q == 0:
             q = _ZERO_GUARD
         q = b - 1 + w - (w * (b - c0) + quarter) / q
-        if b <= m_max + 1:
-            out[b - 1] = (q, sign)
+        if b <= hi + 1:
+            out[b - 1 - lo] = (q, sign)
     return out
 
 
 def _edge_pairs(X: float, mu: float, sigma: int, n_max: int,
                 real=float, extra_start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normalised (tau(X), tau'(X)) for |n| <= n_max in arithmetic
-    ``real``, as two arrays indexed by n + n_max.
+    """Unit-normalised (tau(X), tau'(X)) of the window modes
+    |n - round(mu)| <= n_max in arithmetic ``real``, in window order.
 
     With z = |mu| x^2/X^2 and m = |n| the regular interior solution is the
     Landau-level function tau = x^m e^{-z/2} M(a, m+1, z), with
     a = (m+1)/2 - (X^2 + 2 mu (n + sigma))/(4|mu|) (DLMF 13.2).  Write
-    s = sgn(mu), +1 at mu = 0.  Modes with s n >= 0 take the recurrence
-    at w = |mu| and c0 = (1 - s sigma)/2; the others take it, through
-    Kummer's transformation tau = x^m e^{+z/2} M(m+1-a, m+1, -z), at
-    w = -|mu| and c0 = (1 + s sigma)/2.  Either way
+    s = sgn(mu), +1 at mu = 0, and c = |round(mu)|.  Modes with s n >= 0
+    take the recurrence at w = |mu| and c0 = (1 - s sigma)/2, started
+    above max(c + n_max, |mu| + X); the others (none once c >= n_max) take
+    it, through Kummer's transformation tau = x^m e^{+z/2} M(m+1-a, m+1, -z),
+    at w = -|mu| and c0 = (1 + s sigma)/2, started above c + n_max.  Each
+    branch stops at its lowest window mode.  Either way
     tau'/tau = (2 q_{m+1} - m - w)/X at the edge.  At mu = 0 both reduce
     to the Bessel ratio recurrence of J_m(X).
     """
     s = 1 if mu >= 0.0 else -1
-    am = abs(mu)
+    centre = round(mu)
+    am, c = abs(mu), abs(centre)
     Xr, w = real(X), real(am)
-    pad = _start_pad(X) + extra_start
-    first = _kummer_branch(Xr, w, (1 - s * sigma) // 2, math.ceil(max(n_max, am + X)) + pad, n_max)
-    second = _kummer_branch(Xr, -w, (1 + s * sigma) // 2, n_max + pad, n_max)
+    pad, lo = _start_pad(X) + extra_start, max(0, c - n_max)
+    first = _kummer_branch(Xr, w, (1 - s * sigma) // 2,
+                           math.ceil(max(c + n_max, am + X)) + pad, lo, c + n_max)
+    second = (_kummer_branch(Xr, -w, (1 + s * sigma) // 2, c + n_max + pad, 1, n_max - c)
+              if c < n_max else [])
     values, derivs = np.empty(2 * n_max + 1), np.empty(2 * n_max + 1)
-    for i, n in enumerate(range(-n_max, n_max + 1)):
+    for i, n in enumerate(range(centre - n_max, centre + n_max + 1)):
         m = abs(n)
-        wb, (q, sign) = (w, first[m]) if s * n >= 0 else (-w, second[m])
+        wb, (q, sign) = (w, first[m - lo]) if s * n >= 0 else (-w, second[m - 1])
         t = float((2 * q - m - wb) / Xr)
         h = math.hypot(1.0, t)
         values[i], derivs[i] = sign / h, sign * t / h
@@ -231,20 +240,21 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _interior_edge_table(X: float, mu: float, sigma: int,
                          n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normalised edge pairs of every mode |n| <= n_max, keeping the
-    sign of tau(X), as (values, derivatives) indexed by n + n_max.  Cached
-    independently of kappa: the shell strength enters only the matching.
+    """Unit-normalised edge pairs of the window modes |n - round(mu)| <= n_max,
+    keeping the sign of tau(X), as (values, derivatives) in window order.
+    Cached independently of kappa: the shell strength enters only the matching.
 
     While the classical orbit is at least as wide as the vortex
     (2|mu| <= X) the recurrence runs in double precision.  Inside that
     orbit radius it amplifies roundoff by up to ~1e12, so it runs over
-    34-digit mpmath numbers and is certified against a rerun at twice the
-    digits from a later start.
+    34-digit mpmath numbers and is certified, mode by mode of the window,
+    against a rerun at twice the digits from a later start.
 
     Raises
     ------
     SolverFailure
-        If the certification disagrees by more than 1e-12 in any mode.
+        If the certification disagrees by more than 1e-12 in any window
+        mode; the message names its n.
     """
     if 2.0 * abs(mu) <= X:
         return _edge_pairs(X, mu, sigma, n_max)
@@ -258,15 +268,9 @@ def _interior_edge_table(X: float, mu: float, sigma: int,
     i = int(np.argmax(gap))
     if gap[i] > _CERTIFY_TOL:
         raise SolverFailure(
-            f"interior recurrence not certified at X={X}, mu={mu}, n={i - n_max}: "
+            f"interior recurrence not certified at X={X}, mu={mu}, n={round(mu) - n_max + i}: "
             f"pairs ({v[i]:.15g}, {d[i]:.15g}) and ({cv[i]:.15g}, {cd[i]:.15g})")
     return v, d
-
-
-def _interior_cutoff(params: VortexParams) -> int:
-    """Largest |n| of the interior table: the mode window reaches
-    |round(mu)| + n_max."""
-    return params.n_max + abs(round(params.mu))
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +279,20 @@ def _interior_cutoff(params: VortexParams) -> int:
 
 def inside_solution(n: int, params: VortexParams) -> tuple[float, float]:
     """Edge data (tau(X), tau'(X)) of the regular interior solution of
-    mode n, |n| <= params.n_max + |round(params.mu)|: the unit-normalised
-    pair, with the sign of tau(X), that :func:`mode_table` matches.
+    window mode n, |n - round(mu)| <= n_max (else ValueError): the
+    unit-normalised pair, with the sign of tau(X), that :func:`mode_table`
+    matches.
 
     Raises
     ------
     SolverFailure
         If the strong-field (2|mu| > X) evaluation cannot be certified.
     """
-    nm = _interior_cutoff(params)
-    if abs(n) > nm:
-        raise ValueError(f"|n|={abs(n)} exceeds the mode cutoff {nm}")
-    v, d = _interior_edge_table(params.X, params.mu, params.sigma, nm)
-    return float(v[n + nm]), float(d[n + nm])
+    lo = round(params.mu) - params.n_max
+    if not lo <= n <= lo + 2 * params.n_max:
+        raise ValueError(f"n={n} lies outside the mode window [{lo}, {lo + 2 * params.n_max}]")
+    v, d = _interior_edge_table(params.X, params.mu, params.sigma, params.n_max)
+    return float(v[n - lo]), float(d[n - lo])
 
 
 def outside_basis_at_edge(n: int, params: VortexParams) -> tuple[float, float, float, float]:
@@ -386,8 +391,7 @@ def mode_table(params: VortexParams) -> ModeTable:
         if math.isinf(kappa):
             p, q = j, y
         else:
-            nm = _interior_cutoff(params)
-            tv, td = (a[n + nm] for a in _interior_edge_table(X, mu, params.sigma, nm))
+            tv, td = _interior_edge_table(X, mu, params.sigma, ic)
             # W(f, tau) + kappa f tau with W(f, g) = f g' - g f'
             p = j * td - tv * jp + kappa * j * tv
             q = y * td - tv * yp + kappa * y * tv

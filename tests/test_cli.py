@@ -136,6 +136,16 @@ def test_invalid_input_exit_code(tmp_path):
                 "--out", str(tmp_path / "z.csv")]) == cli.EXIT_INVALID
 
 
+def test_extreme_flux_exact_is_a_compute_error(tmp_path, capsys):
+    # round(mu) beyond 2^53: the Exact solver refuses, the closed forms answer
+    out = tmp_path / "e.csv"
+    argv = ["curve", "--kr-c", "30", "--mu", "1e20", "--steps", "5", "--out", str(out)]
+    assert run(argv + ["--method", "Exact"]) == cli.EXIT_COMPUTE
+    assert "compute error: X=30.0, mu=1e+20" in capsys.readouterr().err and not out.exists()
+    assert run(argv + ["--method", "Fraunhofer"]) == cli.EXIT_OK
+    assert len(out.read_text().strip().split("\n")) == 6
+
+
 def test_regime_warnings(tmp_path, capsys):
     run(["curve", "--kr-c", "4", "--mu", "30", "--steps", "5",
          "--phi-min", "-0.5", "--phi-max", "0.5",

@@ -3,6 +3,7 @@ independent oracles, mpmath's hypergeometric function and a batched
 DOP853 integration of the interior equation, plus its regressions."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.special import jv, jvp
 
-from vortexscatter.radial import SolverFailure, VortexParams, inside_solution
+from vortexscatter.radial import SolverFailure, VortexParams, inside_solution, mode_table
 
 
 def edge_angle(pair):
@@ -93,11 +94,20 @@ def ode_edge_table(X, mu, sigma, n_max, rtol=1e-11, segment=25.0, terms=20):
     return {int(n): (float(u[i]), float(du[i] + m[i] * u[i] / X)) for i, n in enumerate(ns)}
 
 
-def sampled_modes(X, mu, n_max):
-    """Both Kummer branches: the table ends, the axis, the flux centre,
-    modes inside the vortex on either side of it."""
-    third = int(X // 3)
-    return sorted({-n_max, -n_max // 2, -third, -1, 0, 1, third, round(mu), n_max // 2, n_max})
+def window(p):
+    """The mode window round(mu) - n_max <= n <= round(mu) + n_max."""
+    c = round(p.mu)
+    return range(c - p.n_max, c + p.n_max + 1)
+
+
+def sampled_modes(p):
+    """Window modes of both Kummer branches: the window ends and the flux
+    centre, and the axis and modes inside the vortex on either side of it
+    where the window holds them."""
+    c, third = round(p.mu), int(p.X // 3)
+    inner = {-third, -1, 0, 1, third}
+    return sorted({c - p.n_max, c - p.n_max // 2, c, c + p.n_max // 2, c + p.n_max}
+                  | {n for n in inner if n in window(p)})
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +125,7 @@ def test_edge_angle_matches_hyp1f1(X, ratio):
         for sign in (+1, -1):
             mu = sign * ratio * X / 2.0
             p = VortexParams(X=X, mu=mu, sigma=sigma)
-            for n in sampled_modes(X, mu, p.n_max):
+            for n in sampled_modes(p):
                 got = edge_angle(inside_solution(n, p))
                 ref = hyp1f1_edge_angle(n, X, mu, sigma)
                 assert angle_gap(got, ref) <= 1e-12, (X, mu, sigma, n, got, ref)
@@ -124,7 +134,7 @@ def test_edge_angle_matches_hyp1f1(X, ratio):
 def test_edge_pairs_are_unit_normalised():
     for mu in (7.5, 30.0):
         p = VortexParams(X=30.0, mu=mu)
-        for n in range(-p.n_max, p.n_max + 1):
+        for n in window(p):
             assert math.hypot(*inside_solution(n, p)) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -135,7 +145,7 @@ def test_orbit_radius_equal_to_vortex_radius():
     X, mu = 60.0, 30.0
     for sigma in (+1, -1):
         p = VortexParams(X=X, mu=mu, sigma=sigma)
-        for n in range(-p.n_max, p.n_max + 1):
+        for n in window(p):
             got = edge_angle(inside_solution(n, p))
             assert angle_gap(got, hyp1f1_edge_angle(n, X, mu, sigma)) <= 1e-12, (sigma, n)
     value, derivative = inside_solution(-29, VortexParams(X=X, mu=mu, sigma=+1))
@@ -176,12 +186,33 @@ def test_strong_field_fails_fast_or_is_exact(X, ratio):
     mu = ratio * X / 2.0
     p = VortexParams(X=X, mu=mu, sigma=+1)
     try:
-        sols = {n: inside_solution(n, p) for n in range(-p.n_max, p.n_max + 1)}
+        sols = {n: inside_solution(n, p) for n in window(p)}
     except SolverFailure as exc:
         assert f"X={X}" in str(exc) and f"mu={mu}" in str(exc) and "n=" in str(exc)
         return
     for n, sol in sols.items():
         assert angle_gap(edge_angle(sol), hyp1f1_edge_angle(n, X, mu, +1)) <= 1e-12, n
+
+
+@pytest.mark.parametrize("X", [100.0, 200.0])
+def test_strong_field_window_off_the_axis(X):
+    # 2|mu|/X = 6 and 3: the window lies on one side of n = 0, so only the
+    # first branch runs, and only the modes a table reads are certified
+    for mu in (300.37, -300.37):
+        for sigma in (+1, -1):
+            p = VortexParams(X=X, mu=mu, sigma=sigma)
+            tab = mode_table(p)
+            assert np.max(np.abs(np.abs(tab.s_n) - 1.0)) <= 1e-15
+            for n in window(p)[::p.n_max // 4]:
+                got = edge_angle(inside_solution(n, p))
+                assert angle_gap(got, hyp1f1_edge_angle(n, X, mu, sigma)) <= 1e-12, (mu, sigma, n)
+
+
+def test_strong_field_failure_names_a_window_mode():
+    p = VortexParams(X=100.0, mu=100.37)
+    with pytest.raises(SolverFailure, match="X=100.0, mu=100.37") as err:
+        mode_table(p)
+    assert int(re.search(r"\bn=(-?\d+)", str(err.value)).group(1)) in window(p)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +224,9 @@ def test_strong_field_fails_fast_or_is_exact(X, ratio):
     (100.0, 0.05, -1), (100.0, 25.0, +1), (100.0, -50.0, +1),
 ])
 def test_agrees_with_integrated_ode(X, mu, sigma):
+    # the window's modes with |n| <= n_max
     p = VortexParams(X=X, mu=mu, sigma=sigma)
     ode = ode_edge_table(X, mu, sigma, p.n_max)
-    for n, (v, d) in ode.items():
+    for n in set(window(p)) & ode.keys():
+        v, d = ode[n]
         assert angle_gap(edge_angle(inside_solution(n, p)), math.atan2(d, v)) <= 1e-9, n

@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from vortexscatter import radial, specfun
+from vortexscatter import amplitudes, asymptotics, radial, specfun
 from vortexscatter.radial import (
     FAR,
     NEAR,
@@ -152,9 +152,14 @@ def test_interior_spin_term_is_small_at_large_radius():
 
 
 def test_inside_solution_rejects_out_of_range_mode():
-    p = VortexParams(X=10.0, mu=0.0)
-    with pytest.raises(ValueError):
-        inside_solution(p.n_max + 1, p)
+    # exactly the window round(mu) - n_max <= n <= round(mu) + n_max
+    p = VortexParams(X=10.0, mu=-3.4)
+    lo, hi = -3 - p.n_max, -3 + p.n_max
+    for n in (lo, hi):
+        assert math.hypot(*inside_solution(n, p)) == pytest.approx(1.0)
+    for n in (lo - 1, hi + 1):
+        with pytest.raises(ValueError, match="outside the mode window"):
+            inside_solution(n, p)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +305,22 @@ def test_mode_table_range_validation():
     for X in (1100.0, 1200.0):
         with pytest.raises(SolverFailure, match=f"X={X}, mu=0.3"):
             mode_table(VortexParams(X=X, mu=0.3))
+
+
+def test_extreme_flux_is_refused_naming_the_scenario():
+    # past 2^53 the window's mode indices are no longer exact in float64
+    p = VortexParams(X=30.0, mu=1e20)
+    for call in (lambda: mode_table(p), lambda: amplitudes.f1_sum(0.1, p),
+                 lambda: asymptotics.f2_asymptotic(0.1, p.mu, p.X)):
+        with pytest.raises(SolverFailure, match=r"X=30.0, mu=1e\+20"):
+            call()
+
+
+def test_large_flux_table_fails_without_running_up_to_mu():
+    # the recurrences start and stop within n_max of round(mu): the
+    # certification refuses this table instead of allocating ~3e9 rows
+    with pytest.raises(SolverFailure, match="X=30.0, mu=3000000000.0"):
+        mode_table(VortexParams(30.0, 3e9))
 
 
 @pytest.mark.parametrize("X", [30.0, 100.0, 200.0, 480.0])
