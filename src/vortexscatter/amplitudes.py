@@ -72,13 +72,30 @@ def _half_turns(mu: float) -> complex:
     return (-1.0 if k % 2 else 1.0) * complex(math.cos(arg), math.sin(arg))
 
 
+def _angles(phi, pole: bool = False) -> np.ndarray:
+    """phi as a float array of at least one dimension, refused unless a
+    scalar or 1-d array of finite angles in (-pi, pi), with 0 excluded for
+    a ``pole``.  A scalar takes the grid's array kernels (numpy scalars take
+    other paths for powers), so both give the same bits."""
+    p = np.atleast_1d(np.asarray(phi, dtype=float))
+    if p.ndim > 1 or not (np.abs(p) < math.pi).all() or (pole and (p == 0.0).any()):
+        raise ValueError("phi must be a scalar or 1-d array of finite angles in (-pi, pi)"
+                         + (", excluding 0" if pole else ""))
+    return p
+
+
+def _like(phi, value):
+    """value as Python scalars for a scalar phi, else unchanged; the last
+    axis of value runs over the entries of phi."""
+    return value if np.ndim(phi) else value[..., 0].tolist()
+
+
 def flux_phase(n, mu: float):
     """Mode phase factor P_n = e^{i mu sgn(n - mu) pi}, equal to
     e^{i(|n| - |n - mu|) pi} for every integer n, with sgn(0) = +1;
     accepts scalar or array n."""
     e = _half_turns(mu)
-    out = np.where(np.asarray(n) >= mu, e, e.conjugate())
-    return out if out.ndim else complex(out)
+    return _like(n, np.where(np.atleast_1d(n) >= mu, e, e.conjugate()))
 
 
 def ab_amplitude(phi, mu: float):
@@ -94,14 +111,11 @@ def ab_amplitude(phi, mu: float):
     Raises
     ------
     ValueError
-        If any angle is 0, NaN or outside (-pi, pi).
+        If ``phi`` breaks the angle contract of :func:`_angles`, 0 excluded.
     """
-    phi_arr = np.asarray(phi, dtype=float)
-    if not ((phi_arr != 0.0) & (np.abs(phi_arr) < math.pi)).all():
-        raise ValueError("ab_amplitude needs angles in (-pi, pi) excluding 0")
+    p = _angles(phi, pole=True)
     pref = 1j * _half_turns(mu).imag / SQRT_2PI
-    out = pref * np.exp(1j * (math.floor(mu) + 0.5) * phi_arr) / np.sin(phi_arr / 2.0)
-    return out if out.ndim else complex(out)
+    return _like(phi, pref * np.exp(1j * (math.floor(mu) + 0.5) * p) / np.sin(p / 2.0))
 
 
 def _mode_sum(phi, ns: np.ndarray, weights):
@@ -133,8 +147,7 @@ def _mode_sum(phi, ns: np.ndarray, weights):
         inner = np.einsum("...ab,jb->...ja", padded, np.exp(np.outer(1j * block, np.arange(B))))
         total[..., start:start + _BLOCK] = np.einsum(
             "...ja,ja->...j", inner, np.exp(np.outer(1j * block, giant)))
-    total = 1j / SQRT_2PI * total
-    return total if np.ndim(phi) else total[..., 0][()]
+    return _like(phi, 1j / SQRT_2PI * total)
 
 
 def _dirichlet(phi: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -147,15 +160,6 @@ def _dirichlet(phi: np.ndarray, a: int, b: int) -> np.ndarray:
     s = np.sin(0.5 * phi)
     ratio = np.divide(np.sin(0.5 * N * phi), s, out=np.full(phi.shape, float(N)), where=s != 0.0)
     return np.exp(1j * (0.5 * (a + b) * phi)) * ratio
-
-
-def _finite_angles(phi) -> np.ndarray:
-    """phi as a float array, refused unless a scalar or 1-d array of finite
-    angles (a 2-d grid failed deep in the mode sum, a NaN gave NaN)."""
-    p = np.asarray(phi, dtype=float)
-    if p.ndim > 1 or not np.isfinite(p).all():
-        raise ValueError("phi must be a scalar or 1-d array of finite angles")
-    return p
 
 
 def f1_sum(phi, params: VortexParams):
@@ -175,9 +179,9 @@ def f1_sum(phi, params: VortexParams):
     Raises
     ------
     ValueError
-        If ``phi`` is not a scalar or 1-d array of finite angles.
+        If ``phi`` breaks the angle contract of :func:`_angles`.
     """
-    p = np.atleast_1d(_finite_angles(phi))
+    p = _angles(phi)
     n, _, near = _mode_window(params)
     f1 = np.zeros(p.shape, dtype=complex)
     if near.any():
@@ -185,7 +189,7 @@ def f1_sum(phi, params: VortexParams):
         k = min(max(math.ceil(params.mu), lo), hi + 1)
         e = _half_turns(params.mu)
         f1 = 1j / SQRT_2PI * (e.conjugate() * _dirichlet(p, lo, k - 1) + e * _dirichlet(p, k, hi))
-    return f1 if np.ndim(phi) else f1[0]
+    return _like(phi, f1)
 
 
 def fc_sums(phi, params: VortexParams, table: ModeTable | None = None):
@@ -207,10 +211,10 @@ def fc_sums(phi, params: VortexParams, table: ModeTable | None = None):
     Raises
     ------
     ValueError
-        If ``phi`` is not a scalar or 1-d array of finite angles, or if
+        If ``phi`` breaks the angle contract of :func:`_angles`, or if
         ``table`` was built for other parameters.
     """
-    _finite_angles(phi)
+    p = _angles(phi)
     if table is None:
         table = mode_table(params)
     elif table.params != params:
@@ -219,7 +223,7 @@ def fc_sums(phi, params: VortexParams, table: ModeTable | None = None):
     span = slice(live[0], live[-1] + 1)
     n, near = table.n[span], table.near[span]
     pc = flux_phase(n, params.mu) * table.c_n[span]
-    f2, f3 = _mode_sum(phi, n, [np.where(near, pc, 0.0), np.where(near, 0.0, pc)])
+    f2, f3 = _like(phi, _mode_sum(p, n, [np.where(near, pc, 0.0), np.where(near, 0.0, pc)]))
     return f2, f3
 
 
@@ -261,9 +265,10 @@ def cross_section_curve(params: VortexParams, grid: np.ndarray | None = None,
     ----------
     params : VortexParams
     grid : ndarray, optional
-        Angles in (-pi, pi); defaults to :func:`default_angle_grid`.
-        Methods involving the flux-line amplitude (Exact, AB) require 0
-        to be excluded.
+        Strictly increasing angles; defaults to :func:`default_angle_grid`.
+        Each method's own call holds them to the angle contract of
+        :func:`_angles`: finite and in (-pi, pi), and for the methods
+        involving the flux-line amplitude (Exact, AB) 0 excluded.
     method : str
         One of ``METHOD_TAGS``.  Asymptotic methods delegate to
         :mod:`vortexscatter.asymptotics` and are converted to 1/k units.
@@ -278,14 +283,12 @@ def cross_section_curve(params: VortexParams, grid: np.ndarray | None = None,
         raise ValueError("grid must be a non-empty 1-d array")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid angles must be strictly increasing")
-    if np.any(np.abs(grid) >= math.pi):
-        raise ValueError("grid must lie inside (-pi, pi)")
 
     mu, X = params.mu, params.X
     extras: dict = {}
 
     if method == EXACT:
-        f_ab = np.asarray(ab_amplitude(grid, mu))
+        f_ab = ab_amplitude(grid, mu)
         f1, (f2, f3) = f1_sum(grid, params), fc_sums(grid, params, table)
         value = np.abs(f_ab + f1 + f2 + f3) ** 2
         interference = 2.0 * (f1 * np.conj(f2)).real
@@ -310,7 +313,7 @@ def cross_section_curve(params: VortexParams, grid: np.ndarray | None = None,
         sign = +1 if mu >= 0.0 else -1
         value = asymptotics.classical_cs(grid, params.orbit_radius_ratio, sign) * X
     elif method == AB:
-        value = np.abs(np.asarray(ab_amplitude(grid, mu))) ** 2
+        value = np.abs(ab_amplitude(grid, mu)) ** 2
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHOD_TAGS}")
 

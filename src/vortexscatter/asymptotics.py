@@ -53,7 +53,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import specfun
-from .amplitudes import _mode_sum, flux_phase
+from .amplitudes import _angles, _like, _mode_sum, flux_phase
 from .radial import VortexParams, _mode_window
 
 _EDGE_TOL = 1e-12  # relative roundoff slack of the edge test |n - mu| <= X
@@ -180,7 +180,8 @@ def bracketed_roots(f, a, b, fa, fb, df=None, xtol: float = 1e-12,
     roots = np.where(flo == 0.0, lo, hi)
     i = np.nonzero((flo != 0.0) & (fhi != 0.0))[0]
     lo, hi, flo, fhi = lo[i], hi[i], flo[i], fhi[i]
-    x = lo - flo * (hi - lo) / (fhi - flo)  # false position
+    with np.errstate(all="ignore"):  # an infinite end value gives nan, bisected below
+        x = lo - flo * (hi - lo) / (fhi - flo)  # false position
     side = np.zeros(i.size)  # Illinois: +1 when the last point replaced lo, -1 hi
     for _ in range(_ROOT_STEPS):
         if not i.size:
@@ -241,14 +242,17 @@ def poisson_stationary_sum(chi: Phase, dchi: Phase, window: tuple[float, float],
     on the window, and its first three derivatives in closed form; each
     acts elementwise on 1-d arrays, and a constant is broadcast.  chi is
     evaluated once, on all points, inflections and both ends.  The window
-    (-s_minus, s_plus) is integer-inclusive; phi defaults to 0, the sum of
-    e^{i chi(n)} alone.  Raises ValueError on an empty window or non-finite
-    window, angles or phase data, and RuntimeError on a degenerate lone
-    stationary point.
+    (-s_minus, s_plus) is integer-inclusive, its ends integers, where the
+    endpoint terms are exact; phi defaults to 0, the sum of e^{i chi(n)}
+    alone.  Raises ValueError on an empty window, non-integer window ends,
+    or non-finite window, angles or phase data, and RuntimeError on a
+    degenerate lone stationary point.
     """
     a, b = float(window[0]), float(window[1])
     if not (math.isfinite(a) and math.isfinite(b) and b > a):
         raise ValueError(f"stationary-phase window must be finite and non-empty, got {window}")
+    if not (a.is_integer() and b.is_integer()):
+        raise ValueError(f"stationary-phase window ends must be integers, got {window}")
     shape, angles = np.shape(phi), np.asarray(phi, dtype=float).ravel()
 
     def on(fn, n):
@@ -364,9 +368,11 @@ def _penetration_phase(mu: float, X: float):
         corners = np.where(n >= 0.0, math.pi, -math.pi) - np.where(n >= mu, math.pi, -math.pi)
         return corners - deflection(n, mu, X)
 
+    @np.errstate(divide="ignore")  # +-inf at a window end where |n - mu| = X
     def d2chi(n):
         return -4.0 * mu * (n + mu) / ((X * X + 4.0 * mu * n) * np.sqrt(X * X - (n - mu) ** 2))
 
+    @np.errstate(divide="ignore")
     def d3chi(n):
         R, W2 = X * X + 4.0 * mu * n, X * X - (n - mu) ** 2
         return -4.0 * mu / (R * np.sqrt(W2)) * (1.0 - (n + mu) * (4.0 * mu / R - (n - mu) / W2))
@@ -382,33 +388,29 @@ def f2_asymptotic(phi, mu: float, X: float, mode: str = "direct"):
 
     summed directly (``mode="direct"``: the weights once per call, then
     ``amplitudes._mode_sum`` over all angles) or by one stationary-phase
-    engine call for all angles (``mode="stationary"``).  Modes with no
-    classical path to the edge are exponentially suppressed and skipped.
-    A scalar angle gives a complex, a 1-d array the scalar calls' values.
+    engine call for all angles (``mode="stationary"``) over the integers
+    from the first to the last of those modes.  Modes with no classical
+    path to the edge are exponentially suppressed and skipped.  A scalar
+    angle gives a complex, a 1-d array the scalar calls' values.
     """
-    p = np.asarray(phi, dtype=float)
     if mu == 0.0:
         raise ValueError("penetration asymptotics need mu != 0")
-    if p.ndim > 1 or not ((0.0 < np.abs(p)) & (np.abs(p) < math.pi)).all():
-        raise ValueError("phi must be a scalar or 1-d array in (-pi, pi), excluding 0")
+    p = _angles(phi, pole=True)
     params = VortexParams(X, mu)
     if not params.is_large_radius:
         raise ValueError("short-wavelength asymptotics need X >= 10")
 
     modes, _, near = _mode_window(params)
-    modes = modes[near]
+    n, ok, zeta, xi = _wkb_phases(modes[near], mu, X)
+    n = n[ok]
 
     if mode == "direct":
-        n, ok, zeta, xi = _wkb_phases(modes, mu, X)
-        weights = flux_phase(n[ok], mu) * np.exp(2j * (zeta[ok] - xi[ok]))
-        return _like(phi, -_mode_sum(p, n[ok].astype(int), weights))
+        weights = flux_phase(n, mu) * np.exp(2j * (zeta[ok] - xi[ok]))
+        return _like(phi, -_mode_sum(p, n.astype(int), weights))
 
     if mode == "stationary":
-        # stay clear of the window edges where zeta loses its classical
-        # region; the edge modes do not contribute to penetration
-        window = (int(modes[0]) + 1e-6 * X, int(modes[-1]) - 1e-6 * X)
         chi, dchi, d2chi, d3chi = _penetration_phase(mu, X)
-        report = poisson_stationary_sum(chi, dchi, window, d2chi, d3chi, p)
+        report = poisson_stationary_sum(chi, dchi, (n[0], n[-1]), d2chi, d3chi, p)
         return _like(phi, -1j / math.sqrt(2.0 * math.pi) * report.total)
 
     raise ValueError(f"unknown mode {mode!r}; expected 'direct' or 'stationary'")
@@ -417,21 +419,6 @@ def f2_asymptotic(phi, mu: float, X: float, mode: str = "direct"):
 # ---------------------------------------------------------------------------
 # closed-form cross sections (units of r_c)
 # ---------------------------------------------------------------------------
-
-def _angles(phi) -> np.ndarray:
-    """phi as a float array of at least one dimension, checked to lie in
-    (-pi, pi); a scalar then takes the same array kernels as a grid (numpy
-    scalars take other paths for powers), so both give the same bits."""
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    if not ((-math.pi < phi) & (phi < math.pi)).all():
-        raise ValueError("phi must lie in (-pi, pi)")
-    return phi
-
-
-def _like(phi, value):
-    """value as a Python scalar for a scalar phi, else unchanged."""
-    return value if np.ndim(phi) else value.item()
-
 
 def _envelope(phi: np.ndarray, X: float) -> np.ndarray:
     """sin^2(X phi/2)/sin^2(phi/2), with its forward limit X^2."""
@@ -452,7 +439,7 @@ def fraunhofer_cs(phi, mu: float, X: float):
 def fraunhofer_cs_dphi(phi, mu: float, X: float):
     """Analytic d/dphi of :func:`fraunhofer_cs` (for fringe peak finding); the
     envelope is even, so the forward limit is -(X^3/pi) sin(2 mu pi).  No
-    range check: the fringe lobe |phi| <= 2 pi/X passes pi for X < 2."""
+    angle check: the sweep's lobe |phi| <= 2 pi/X reaches +-pi at kr_c = 2."""
     p = np.atleast_1d(np.asarray(phi, dtype=float))
     s_half = np.sin(p / 2.0)
     sh = np.where(s_half != 0.0, s_half, 1.0)

@@ -49,6 +49,13 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _write_csv(path: str, lines: list[str]) -> None:
+    """Write the CSV rows, each ending in a bare newline on every
+    platform; called once a run has computed all of them."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 @dataclass
 class Scenario:
     """One CLI run: physics parameters, angle grid, methods, output."""
@@ -120,8 +127,7 @@ def run_scenario(scenario: Scenario) -> str:
                       for phi, v, f1, f2, f3, fab in zip(phis, values, *amps)]
         else:
             lines += [f"{phi},{method},{v:.17g},,,,,,,," for phi, v in zip(phis, values)]
-    with open(scenario.output_path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(scenario.output_path, lines)
     return scenario.output_path
 
 
@@ -186,8 +192,7 @@ def fringe_sweep(base: VortexParams, mu_grid, output_path: str) -> str:
     for mu, peaks in zip(mu_grid, _fringe_peaks(mu_grid, base.X)):
         cells = [_fmt(mu)] + [_fmt(v) for peak in peaks for v in peak]
         lines.append(",".join(cells + [""] * (5 - len(cells))))
-    with open(output_path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(output_path, lines)
     return output_path
 
 
@@ -274,8 +279,7 @@ def compare_report(scenario: Scenario, max_l2: float | None = None,
         report.failures.append(
             f"unitarity defect {report.unitarity_worst:.3g} > {max_unitarity:g}")
 
-    with open(scenario.output_path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(scenario.output_path, lines)
     return report
 
 

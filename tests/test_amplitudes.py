@@ -4,6 +4,7 @@ closed-form oracles, decomposition properties."""
 import cmath
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -161,6 +162,47 @@ def test_mode_sums_refuse_bad_angles(phi):
         amp.f1_sum(phi, p)
     with pytest.raises(ValueError, match="scalar or 1-d array of finite angles"):
         amp.fc_sums(phi, p)
+
+
+CONTRACT = re.escape("phi must be a scalar or 1-d array of finite angles in (-pi, pi)")
+_P = VortexParams(X=30.0, mu=2.3, kappa=1.0)
+
+#: every public amplitude and closed form, and whether it has a pole at phi = 0
+ANGLE_TAKERS = {
+    "ab_amplitude": (lambda phi: amp.ab_amplitude(phi, 2.3), True),
+    "f1_sum": (lambda phi: amp.f1_sum(phi, _P), False),
+    "fc_sums": (lambda phi: amp.fc_sums(phi, _P), False),
+    "f2_asymptotic": (lambda phi: asy.f2_asymptotic(phi, 2.3, 30.0), True),
+    "fraunhofer_cs": (lambda phi: asy.fraunhofer_cs(phi, 2.3, 30.0), False),
+    "penetration_cs": (lambda phi: asy.penetration_cs(phi, 2.3, 30.0), False),
+    "rainbow_cs": (lambda phi: asy.rainbow_cs(phi, 2.3, 30.0), False),
+    "classical_cs": (lambda phi: asy.classical_cs(phi, 30.0 / 4.6, +1), False),
+    "cross_section_curve": (lambda phi: amp.cross_section_curve(_P, phi, amp.EXACT), True),
+}
+
+
+@pytest.mark.parametrize("name", ANGLE_TAKERS)
+def test_angle_contract(name):
+    # one contract for every angle taker: a scalar or 1-d array of finite
+    # angles in (-pi, pi), 0 excluded where the amplitude has its pole; a
+    # curve takes grids only, and its methods hold them to the contract
+    call, pole = ANGLE_TAKERS[name]
+    curve = name == "cross_section_curve"
+    for bad in (math.nan, -math.pi, math.pi):
+        for phi in ([np.array([-0.2, bad])] if curve else [bad, np.array([-0.2, bad])]):
+            with pytest.raises(ValueError, match=CONTRACT):
+                call(np.sort(phi) if curve else phi)
+    with pytest.raises(ValueError, match="grid must be a non-empty 1-d array" if curve else CONTRACT):
+        call(np.full((2, 2), -0.2))
+    for phi in ([np.array([-0.2, 0.0])] if curve else [0.0, np.array([-0.2, 0.0])]):
+        if pole:
+            with pytest.raises(ValueError, match=CONTRACT + ", excluding 0"):
+                call(phi)
+        else:
+            call(phi)
+    if not curve:
+        out = call(-0.2)
+        assert all(type(v) in (float, complex, str) for v in (out if type(out) is tuple else [out]))
 
 
 # ---------------------------------------------------------------------------

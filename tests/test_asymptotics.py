@@ -320,6 +320,17 @@ def test_engine_rejects_bad_input():
         poisson_stationary_sum(lambda n: n, lambda n: 1.0, (-10, 10), zero, zero, [0.1, math.nan])
 
 
+def test_engine_refuses_fractional_window_ends():
+    # its endpoint terms are exact only for integer ends; a non-finite end
+    # keeps its own message
+    zero = lambda n: 0.0
+    for window in ((-10.5, 10), (-10, 9.75)):
+        with pytest.raises(ValueError, match="window ends must be integers"):
+            poisson_stationary_sum(lambda n: n, lambda n: 1.0, window, zero, zero)
+    with pytest.raises(ValueError, match="window must be finite and non-empty"):
+        poisson_stationary_sum(lambda n: n, lambda n: 1.0, (-10.5, math.inf), zero, zero)
+
+
 def test_engine_report_total_is_sum_of_parts():
     a = 0.01
     rep = poisson_stationary_sum(lambda n: -a * n * n, lambda n: -2 * a * n,
@@ -371,9 +382,10 @@ def oracle_roots(dchi, target, window):
 
 
 def penetration_window(mu, X):
-    """The window f2_asymptotic hands to the engine."""
+    """The window f2_asymptotic hands to the engine: the integer ends of
+    the near modes of the mode window."""
     modes = near_modes(mu, X)
-    return int(modes[0]) + 1e-6 * X, int(modes[-1]) - 1e-6 * X
+    return float(modes[0]), float(modes[-1])
 
 
 @pytest.mark.parametrize("case", ["quadratic", "separated cubic", "penetration"])
@@ -425,6 +437,34 @@ def f2_engine_report(monkeypatch, phi, mu, X):
     f2_asymptotic(phi, mu, X, "stationary")
     monkeypatch.setattr(asy, "poisson_stationary_sum", ENGINE)
     return reports[0]
+
+
+def test_f2_stationary_sums_over_the_near_modes(monkeypatch):
+    # the engine gets the integer ends of the near modes, the modes the
+    # direct sum takes, with no offset
+    windows = []
+
+    def spy(chi, dchi, window, *rest):
+        windows.append(window)
+        return ENGINE(chi, dchi, window, *rest)
+
+    monkeypatch.setattr(asy, "poisson_stationary_sum", spy)
+    for X, mu in ((100.0, 10.0), (480.0, -48.37), (30.0, 2.634)):
+        f2_asymptotic(-0.3, mu, X, "stationary")
+        modes = near_modes(mu, X)
+        assert windows[-1] == (modes[0], modes[-1])
+        assert all(float(end).is_integer() for end in windows[-1])
+
+
+@pytest.mark.parametrize("X, mu", [(100.0, 10.0), (480.0, 48.37)])
+def test_engine_on_the_f2_window_is_2pi_periodic(X, mu):
+    # on integer ends e^{i n phi} is 2 pi-periodic at every term; ends
+    # moved in by 1e-6 X broke this by 9.3e-4 and 2.1e-3 of |f2|
+    phis = np.array([-1.1, -0.3, 0.4])
+    chi, dchi, d2chi, d3chi = asy._penetration_phase(mu, X)
+    total = poisson_stationary_sum(chi, dchi, penetration_window(mu, X), d2chi, d3chi,
+                                   np.concatenate([phis, phis + 2.0 * math.pi])).total
+    assert (np.abs(total[3:] - total[:3]) <= 1e-12 * np.abs(total[:3])).all()
 
 
 @pytest.mark.parametrize("X, mu, phi", [(100.0, -3.596, 0.135), (30.0, -2.634, 0.331),
@@ -484,6 +524,22 @@ def test_penetration_phase_derivatives_match_differences(X, mu):
         assert d3chi(n) == pytest.approx((d2chi(n + h) - d2chi(n - h)) / (2 * h), rel=1e-6)
         checked += 1
     assert checked >= 8
+
+
+def test_penetration_phase_curvature_is_infinite_at_the_window_ends():
+    # at X = 100, mu = 10 both window ends lie on |n - mu| = X, where the
+    # second and third derivatives diverge like 1/W: +-inf, with no
+    # RuntimeWarning
+    _, _, d2chi, d3chi = asy._penetration_phase(10.0, 100.0)
+    ends = np.array(penetration_window(10.0, 100.0))
+    assert np.abs(ends - 10.0).tolist() == [100.0, 100.0]
+    assert np.isinf(d2chi(ends)).all() and np.isinf(d3chi(ends)).all()
+    # at X = 399.75, mu = 199.75 the rainbow mode n = -mu lies in the first
+    # cell of the engine's grid, next to the end n = -200 where chi'' is
+    # infinite: that bracket of the inflection search is bisected
+    assert penetration_window(199.75, 399.75)[0] == -200.0
+    f2 = f2_asymptotic(np.array([-1.1, -0.3, 0.4]), 199.75, 399.75, "stationary")
+    assert np.isfinite(f2).all()
 
 
 def test_penetration_phase_has_no_roundoff_floor():

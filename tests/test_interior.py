@@ -179,17 +179,25 @@ def test_zero_flux_is_bessel_j(X):
         assert angle_gap(edge_angle(inside_solution(n, p)), ref) <= 1e-13, n
 
 
-@pytest.mark.parametrize("X,ratio", [(80.0, 2.5), (60.0, 2.5)])
+#: strong-field cases whose windows straddle n = 0 and pass certification
+CERTIFIED = {(30.0, 3.0), (40.0, 2.5)}
+
+
+@pytest.mark.parametrize("X,ratio", [(80.0, 2.5), (60.0, 2.5), (30.0, 3.0), (40.0, 2.5)])
 def test_strong_field_fails_fast_or_is_exact(X, ratio):
     # inside the orbit radius the recurrence is certified at twice the
-    # digits from a later start; an uncertified table must raise
+    # digits from a later start; an uncertified table must raise, and each
+    # case keeps its outcome, so an answer cannot turn into a failure (or
+    # back) unseen
     mu = ratio * X / 2.0
     p = VortexParams(X=X, mu=mu, sigma=+1)
     try:
         sols = {n: inside_solution(n, p) for n in window(p)}
     except SolverFailure as exc:
+        assert (X, ratio) not in CERTIFIED, str(exc)
         assert f"X={X}" in str(exc) and f"mu={mu}" in str(exc) and "n=" in str(exc)
         return
+    assert (X, ratio) in CERTIFIED
     for n, sol in sols.items():
         assert angle_gap(edge_angle(sol), hyp1f1_edge_angle(n, X, mu, +1)) <= 1e-12, n
 
