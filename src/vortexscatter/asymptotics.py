@@ -67,14 +67,19 @@ class ForbiddenModeError(ValueError):
     """The mode has no classical region reaching the vortex edge."""
 
 
+def _reaches_edge(n: np.ndarray, mu: float, X: float) -> np.ndarray:
+    """Mask of the modes n with a classical path to the edge:
+    |n - mu| <= X within 1e-12 and X^2 + 4 mu n > 0."""
+    return (np.abs(n - mu) <= X * (1.0 + _EDGE_TOL)) & (X * X + 4.0 * mu * n > 0.0)
+
+
 def _edge_angles(n, mu: float, X: float):
     """The edge angles of the closed WKB phases (module docstring), for
     arrays of n.
 
     Returns n as a float array, W = sqrt(X^2 - nu^2) with nu = n - mu, the
-    mask of the modes that reach the edge (|nu| <= X within 1e-12 and
-    X^2 + 4 mu n > 0; elsewhere the values are placeholders), and the
-    angles a0, a1, a2.  With s = sqrt(X^2 + 4 mu n), a1 and a2 are
+    mask of :func:`_reaches_edge` (elsewhere the values are placeholders),
+    and the angles a0, a1, a2.  With s = sqrt(X^2 + 4 mu n), a1 and a2 are
     arccos((X^2 + 2 mu nu)/(X s)) and arccos((2 nu n - X^2)/(X s)), since
     (X s)^2 - (X^2 + 2 mu nu)^2 = 4 mu^2 W^2 and
     (X s)^2 - (2 nu n - X^2)^2 = 4 n^2 W^2.
@@ -82,8 +87,7 @@ def _edge_angles(n, mu: float, X: float):
     n = np.asarray(n, dtype=float)
     nu = n - mu
     W = np.sqrt(np.maximum(X * X - nu * nu, 0.0))
-    ok = (np.abs(nu) <= X * (1.0 + _EDGE_TOL)) & (X * X + 4.0 * mu * n > 0.0)
-    return (n, W, ok, np.arctan2(W, np.abs(nu)),
+    return (n, W, _reaches_edge(n, mu, X), np.arctan2(W, np.abs(nu)),
             np.arctan2(2.0 * abs(mu) * W, X * X + 2.0 * mu * nu),
             np.arctan2(2.0 * np.abs(n) * W, 2.0 * nu * n - X * X))
 
@@ -401,12 +405,12 @@ def f2_asymptotic(phi, mu: float, X: float, mode: str = "direct"):
         raise ValueError("short-wavelength asymptotics need X >= 10")
 
     modes, _, near = _mode_window(params)
-    n, ok, zeta, xi = _wkb_phases(modes[near], mu, X)
-    n = n[ok]
+    n = modes[near]
+    n = n[_reaches_edge(n, mu, X)]
 
     if mode == "direct":
-        weights = flux_phase(n, mu) * np.exp(2j * (zeta[ok] - xi[ok]))
-        return _like(phi, -_mode_sum(p, n.astype(int), weights))
+        _, _, zeta, xi = _wkb_phases(n, mu, X)
+        return _like(phi, -_mode_sum(p, n, flux_phase(n, mu) * np.exp(2j * (zeta - xi))))
 
     if mode == "stationary":
         chi, dchi, d2chi, d3chi = _penetration_phase(mu, X)
