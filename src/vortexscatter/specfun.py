@@ -9,9 +9,9 @@ the Airy function.
 Conventions
 -----------
 ``cylinder_pairs(nu, x)``
-    J_nu(x), its x-derivative, Y_nu(x) and its x-derivative on an array
-    of real orders.  J is the regular cylinder function; Y is the second
-    (irregular) solution, normalised so that
+    J_nu(x), its x-derivative, Y_nu(x) and its x-derivative on a ladder
+    of real orders (ascending, step 1).  J is the regular cylinder
+    function; Y is the second (irregular) solution, normalised so that
 
         W{J, Y}(x) = J Y' - Y J' = 2 / (pi x)
 
@@ -23,16 +23,17 @@ Conventions
     Ai(y) = pi^(-1) * integral_0^inf cos(y u + u^3/3) du; exponentially
     damped for y > 0, oscillating for y < 0.
 
-Method.  The orders of a mode window, nu = |n - mu|, form two ladders of
-step 1 (n <= mu and n >= mu).  Both J and Y obey the three-term recurrence
-C_{nu-1} + C_{nu+1} = (2 nu / x) C_nu (DLMF 10.6.1).  Y is dominant as the
-order grows, so it runs forward from scipy's two lowest rungs; J is
-minimal, so it runs backward from scipy's two highest (Miller's
-direction, DLMF 3.6).  That is four scipy evaluations per ladder, eight
-per window, whatever its length.  Derivatives come from C'_nu = C_{nu-1} -
-(nu/x) C_nu (DLMF 10.6.2), whose lower rung the ladder already holds,
-never from finite differences, because the delta-shell matching consumes
-them at full precision.  An isolated order is a ladder of one and holds
+Method.  A mode window's orders nu = |n - mu| are two ladders, n < mu
+read backwards and n >= mu, and the mode table calls ``cylinder_pairs``
+on each.  Both J and Y obey C_{nu-1} + C_{nu+1} = (2 nu / x) C_nu (DLMF
+10.6.1).  Y is dominant as the order grows, so it runs forward from
+scipy's values at the lowest order nu_0 and at nu_0 - 1; J is minimal,
+so it runs backward from scipy's two highest rungs (Miller's direction,
+DLMF 3.6).  That is four scipy evaluations per ladder, eight per window,
+whatever its length.  Derivatives come from C'_nu = C_{nu-1} - (nu/x)
+C_nu (DLMF 10.6.2), whose lower rung the ladder already holds, never
+from finite differences, because the delta-shell matching consumes them
+at full precision.  An isolated order is a ladder of one and holds
 scipy's values.
 
 Accuracy.  Against 30-digit mpmath, relative to |C| + |C'|, the window
@@ -43,12 +44,12 @@ scipy's top rungs; the forward Y drifts by rounding through the
 oscillatory region.
 
 Supported range: 0 < x <= 1000, finite non-negative orders, and J a normal
-float at the top of every ladder (the recurrence would carry lost digits
-down).  The mode window meets the last condition for every flux at
-X >= 1.5e-10.  Where J is normal, |J Y| ~ 1/(pi nu) keeps Y finite; Y' may
-overflow to +inf far under the barrier, never to NaN, and the mode table
-treats such modes as decoupled.  Ai accepts |y| <= 100, as a scalar or an
-array.  All functions are pure and reentrant.
+float at the top of the ladder (the recurrence would carry lost digits
+down).  Both ladders of a mode window meet the last condition for every
+flux at X >= 1.5e-10.  Where J is normal, |J Y| ~ 1/(pi nu) keeps Y
+finite; Y' may overflow to +inf far under the barrier, never to NaN, and
+the mode table treats such modes as decoupled.  Ai accepts |y| <= 100,
+as a scalar or an array.  All functions are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -58,28 +59,6 @@ from scipy import special as _sp
 
 SUPPORTED_MAX_X = 1000.0
 SUPPORTED_MAX_AIRY = 100.0
-
-
-def _ladders(nu: np.ndarray) -> list[np.ndarray]:
-    """Positions of ``nu`` split into ladders, each in increasing order.
-
-    A ladder is a maximal run of adjacent entries whose orders step by +1,
-    or by -1, up to the rounding of their difference; any other entry is a
-    ladder of one.  Adjacency, not the fractional part, decides: the mode
-    window |n - mu| is one descending run (n <= mu) and one ascending run
-    (n >= mu), even where their orders lie 1e-12 apart.
-    """
-    step = np.diff(nu)
-    tol = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.maximum(nu[:-1], nu[1:]))
-    link = (np.abs(step - 1.0) <= tol).astype(int) - (np.abs(step + 1.0) <= tol)
-    edge = np.flatnonzero(np.diff(link, prepend=0, append=0))  # where a run of links starts or ends
-    single = np.ones(len(nu), bool)
-    out = []
-    for a, b in zip(edge[:-1], edge[1:]):
-        if link[a]:
-            single[a:b + 1] = False
-            out.append(np.arange(a, b + 1)[::link[a]])
-    return out + [np.array([i]) for i in np.flatnonzero(single)]
 
 
 def _recur(c0: float, c1: float, coef) -> list:
@@ -93,41 +72,32 @@ def _recur(c0: float, c1: float, coef) -> list:
 
 
 def cylinder_pairs(nu: np.ndarray, x: float) -> tuple[np.ndarray, ...]:
-    """(J, J', Y, Y') at every order of the array ``nu`` and argument x.
-
-    Each ladder of orders nu_0 < ... < nu_L-1 (step 1, see
-    :func:`_ladders`) is extended by nu_0 - 1.  Y takes its two lowest
-    rungs and J its two highest from scipy, and the three-term recurrence
-    fills in the rest: Y forward, J backward, the stable direction of
-    each.  A ladder of one order holds scipy's values.
+    """(J, J', Y, Y') at every order of the ladder ``nu``, ascending orders
+    of step 1 up to the rounding of their difference, and argument x, by
+    the module's Method.  One order is a ladder of one: scipy's values.
 
     Raises
     ------
     ValueError
-        If x lies outside (0, SUPPORTED_MAX_X], if an order is negative or
-        not finite, or if J at the top of a ladder is not a normal float
-        (the recurrence would carry its lost digits down the ladder).
+        If the orders are not one ladder, or x or the ladder lies outside
+        the supported range (module docstring).
     """
     if not 0.0 < x <= SUPPORTED_MAX_X:
         raise ValueError(f"argument x={x} outside supported range (0, {SUPPORTED_MAX_X}]")
     bad = ~((nu >= 0.0) & (nu < np.inf))
     if bad.any():
         raise ValueError(f"orders must be finite and non-negative, got {nu[bad][:3]}")
-    ladders = _ladders(nu)
-    top = [nu[p[-1]] for p in ladders]
-    second = [nu[p[-2]] if len(p) > 1 else nu[p[0]] - 1.0 for p in ladders]
-    bottom = np.array([nu[p[0]] for p in ladders])
-    jtop = _sp.jv(np.concatenate([top, second]), x)
+    tol = 4.0 * np.finfo(float).eps * np.maximum(1.0, nu[1:])
+    if not (len(nu) and (np.abs(np.diff(nu) - 1.0) <= tol).all()):
+        raise ValueError(f"orders must ascend by 1 as one ladder, got {nu[:4]}")
+    v = np.concatenate([[nu[0] - 1.0], nu])
+    jtop = _sp.jv(v[:-3:-1], x)
     if not (np.abs(jtop) >= np.finfo(float).tiny).all():
-        raise ValueError(f"J at order {max(top)} and x={x} is not a normal float")
-    jtop = jtop.reshape(2, -1).tolist()
-    ybot = _sp.yv(np.concatenate([bottom - 1.0, bottom]), x).reshape(2, -1).tolist()
-    j, jb, y, yb = (np.empty(len(nu)) for _ in range(4))
-    for i, p in enumerate(ladders):
-        coef = 2.0 * nu[p[:-1]] / x
-        jl = _recur(jtop[0][i], jtop[1][i], coef[::-1].tolist())[::-1]
-        yl = _recur(ybot[0][i], ybot[1][i], coef.tolist())
-        j[p], jb[p], y[p], yb[p] = jl[1:], jl[:-1], yl[1:], yl[:-1]
+        raise ValueError(f"J at order {nu[-1]} and x={x} is not a normal float")
+    coef = 2.0 * nu[:-1] / x
+    jl = _recur(*jtop.tolist(), coef[::-1].tolist())[::-1]
+    yl = _recur(*_sp.yv(v[:2], x).tolist(), coef.tolist())
+    j, jb, y, yb = map(np.array, (jl[1:], jl[:-1], yl[1:], yl[:-1]))
     with np.errstate(over="ignore"):
         return j, jb - (nu / x) * j, y, yb - (nu / x) * y
 

@@ -4,6 +4,7 @@ DOP853 integration of the interior equation, plus its regressions."""
 
 import math
 import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -44,6 +45,31 @@ def hyp1f1_edge_angle(n, X, mu, sigma, dps=40):
         value = M
         derivative = (m - z) / X_ * M + 2 * z / X_ * dM
         return float(mpmath.atan2(derivative, value))
+
+
+def laguerre_edge_angle(n, X, mu, sigma):
+    """atan2(tau'(X), tau(X)) of a first-branch mode (sgn(mu) n >= 0) where
+    K = X^2/(4|mu|) is an integer.  Kummer's a is then c0 - K = -k with
+    c0 = (1 - sgn(mu) sigma)/2, and M(-k, m+1, z) is a positive multiple
+    of the Laguerre polynomial L_k^(m)(z) (DLMF 13.6.19), whose derivative
+    is -L_{k-1}^(m+1)(z) (DLMF 18.9.23).  Both come from the explicit sum
+    (DLMF 18.5.12) in exact rational arithmetic, so this shares no code
+    with hyp1f1."""
+    s = 1 if mu >= 0.0 else -1
+    m, z, Xq = abs(n), Fraction(abs(mu)), Fraction(X)
+    K = Xq * Xq / (4 * z)
+    assert s * n >= 0 and K.denominator == 1, (n, X, mu)
+    k = int(K) - (1 - s * sigma) // 2
+
+    def laguerre(k, alpha):
+        return sum((Fraction(math.comb(k + alpha, k - i), math.factorial(i)) * (-z) ** i
+                    for i in range(k + 1)), Fraction(0))
+
+    value = laguerre(k, m)
+    slope = (m - z) * value - 2 * z * (laguerre(k - 1, m + 1) if k else 0)
+    derivative = slope / Xq
+    scale = max(abs(value), abs(derivative))
+    return math.atan2(derivative / scale, value / scale)
 
 
 def ode_edge_table(X, mu, sigma, n_max, rtol=1e-11, segment=25.0, terms=20):
@@ -160,6 +186,23 @@ def test_integer_kummer_parameter():
     assert angle_gap(got, hyp1f1_edge_angle(n, X, mu, sigma)) <= 1e-12
 
 
+@pytest.mark.parametrize("X,mu", [(40.0, 10.0), (40.0, -10.0), (100.0, 25.0), (60.0, 60.0),
+                                  (35.0, 43.75), (40.0, 40.0), (60.0, 45.0), (60.0, -45.0),
+                                  (200.0, 1000.0), (480.0, 2880.0)])
+def test_landau_levels_against_laguerre(X, mu):
+    # X^2/(4|mu|) an integer: every first-branch mode sits on a Landau level,
+    # and the Laguerre oracle checks the recurrence without hyp1f1; a spread
+    # of first-branch window modes, both spins
+    s = 1 if mu >= 0.0 else -1
+    for sigma in (+1, -1):
+        p = VortexParams(X=X, mu=mu, sigma=sigma)
+        modes = [n for n in window(p) if s * n >= 0]
+        for n in modes[::max(1, len(modes) // 12)] + modes[-1:]:
+            got = edge_angle(inside_solution(n, p))
+            ref = laguerre_edge_angle(n, X, mu, sigma)
+            assert angle_gap(got, ref) <= 1e-12, (X, mu, sigma, n, got, ref)
+
+
 @pytest.mark.parametrize("X,mu,n,expected", [
     (60.0, 60.0, -15, -0.75),    # integrated ODE: -0.75000861
     (35.0, 43.75, -7, -1.05),    # integrated ODE: -1.0500021
@@ -179,11 +222,13 @@ def test_zero_flux_is_bessel_j(X):
         assert angle_gap(edge_angle(inside_solution(n, p)), ref) <= 1e-13, n
 
 
-#: strong-field cases whose windows straddle n = 0 and pass certification
-CERTIFIED = {(30.0, 3.0), (40.0, 2.5)}
+#: strong-field cases that pass certification: windows that straddle n = 0,
+#: and windows far off the axis at 2|mu|/X = 12
+CERTIFIED = {(30.0, 3.0), (40.0, 2.5), (200.0, 12.0), (480.0, 12.0)}
 
 
-@pytest.mark.parametrize("X,ratio", [(80.0, 2.5), (60.0, 2.5), (30.0, 3.0), (40.0, 2.5)])
+@pytest.mark.parametrize("X,ratio", [(80.0, 2.5), (60.0, 2.5), (30.0, 3.0), (40.0, 2.5),
+                                     (200.0, 12.0), (480.0, 12.0)])
 def test_strong_field_fails_fast_or_is_exact(X, ratio):
     # inside the orbit radius the recurrence is certified at twice the
     # digits from a later start; an uncertified table must raise, and each

@@ -24,6 +24,14 @@ def cylinder_functions(nu, x):
     return [float(a[0]) for a in specfun.cylinder_pairs(np.array([nu]), x)]
 
 
+def window_rows(n, nu, mu, x):
+    """(J, J', Y, Y') over a mode window as a (4, len(n)) array: one ladder
+    call on the orders of n < mu read backwards, one on those of n >= mu."""
+    k = np.count_nonzero(n < mu)
+    below, above = (specfun.cylinder_pairs(v, x) for v in (nu[:k][::-1], nu[k:]))
+    return np.array([np.concatenate([b[::-1], a]) for b, a in zip(below, above)])
+
+
 def match_coefficient(n, params, inside=None, edge=None):
     """Scalar oracle for one mode of the table: CPython complex arithmetic on
     the edge pairs, with the table's Dirichlet limit and its rule that a far
@@ -327,10 +335,11 @@ def test_large_flux_table_fails_without_running_up_to_mu():
 def test_mode_table_matches_scalar_oracle(X):
     # every mode of both flux signs, three shell strengths and both spins;
     # c_n and s_n differ from the oracle, which matches the same window row
-    # of cylinder_pairs, only by numpy's complex division
+    # of cylinder_pairs (one ladder on each side of mu), only by numpy's
+    # complex division
     for mu in (0.15 * X + 0.37, -(0.15 * X + 0.37)):
         n, nu, _ = radial._mode_window(VortexParams(X=X, mu=mu))
-        rows = np.array(specfun.cylinder_pairs(nu, X))
+        rows = window_rows(n, nu, mu, X)
         # one order from scipy against its row of the window's ladder: each
         # is within 3e-13 of |C| + |C'| from mpmath (tests/test_specfun.py,
         # NOTES.md), so they agree within twice that; worst measured 3.1e-13

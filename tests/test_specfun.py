@@ -61,6 +61,15 @@ def cyl(nu, x):
     return [float(a[0]) for a in specfun.cylinder_pairs(np.array([float(nu)]), x)]
 
 
+def window_pairs(n, nu, mu, x):
+    """(J, J', Y, Y') over a mode window as a (4, len(n)) array, from one
+    :func:`specfun.cylinder_pairs` call on each side of mu: the orders of
+    n < mu read backwards, then those of n >= mu."""
+    k = np.count_nonzero(n < mu)
+    below, above = (specfun.cylinder_pairs(v, x) for v in (nu[:k][::-1], nu[k:]))
+    return np.array([np.concatenate([b[::-1], a]) for b, a in zip(below, above)])
+
+
 # ---------------------------------------------------------------------------
 # regular member
 # ---------------------------------------------------------------------------
@@ -95,28 +104,42 @@ def test_bessel_j_domain_errors():
         specfun.cylinder_pairs(np.arange(0.5, 400.0), 1.0)
 
 
+def test_non_ladder_orders_are_refused():
+    # one call takes one ladder: ascending orders of step 1 within rounding
+    window = radial._mode_window(radial.VortexParams(X=30.0, mu=7.3))[1]
+    for nu in (np.array([]), np.array([2.0, 1.0]), np.array([1.0, 2.5]), np.array([3.0, 3.0]),
+               np.array([0.3, 1.3, 2.3, 4.3]), np.array([1e-12, 1.0 - 1e-12]), window,
+               np.arange(40.3, 0.0, -1.0)):
+        with pytest.raises(ValueError, match="one ladder"):
+            specfun.cylinder_pairs(nu, 30.0)
+    # step 1 up to the rounding of the difference is a ladder: the orders
+    # |n - mu| of n >= mu = 7.3 step by 1 +- 3.6e-15
+    nu = np.abs(np.arange(8, 68) - 7.3)
+    assert np.abs(np.diff(nu) - 1.0).max() > 0.0
+    assert np.isfinite(np.array(specfun.cylinder_pairs(nu, 30.0))).all()
+
+
 def test_large_orders_against_mpmath():
-    # isolated orders, 25 apart: each is a ladder of one and holds scipy's
-    # J and Y, the path outside_basis_at_edge takes; the window's step-1
-    # ladders are checked in test_window_ladder_against_mpmath.  Non-integer
-    # orders from X - 40 to X + 160, past the window's top X + 12 X^(1/3) + 25,
-    # at the largest radii the window uses
+    # one order per call: each is a ladder of one and holds scipy's J and
+    # Y, the path outside_basis_at_edge takes; the window's step-1 ladders
+    # are checked in test_window_ladder_against_mpmath.  Non-integer orders
+    # from X - 40 to X + 160, past the window's top X + 12 X^(1/3) + 25, at
+    # the largest radii the window uses
     import mpmath
 
     with mpmath.workdps(30):
         for x in (480.0, 1000.0):
-            nus = x - 40.0 + 25.0 * np.arange(9) + 0.3
-            j, _, y, _ = specfun.cylinder_pairs(nus, x)
-            for i, nu in enumerate(nus):
-                assert j[i] == pytest.approx(float(mpmath.besselj(nu, x)), rel=1e-12), (nu, x)
-                assert y[i] == pytest.approx(float(mpmath.bessely(nu, x)), rel=1e-12), (nu, x)
+            for nu in x - 40.0 + 25.0 * np.arange(9) + 0.3:
+                j, _, y, _ = cyl(nu, x)
+                assert j == pytest.approx(float(mpmath.besselj(nu, x)), rel=1e-12), (nu, x)
+                assert y == pytest.approx(float(mpmath.bessely(nu, x)), rel=1e-12), (nu, x)
 
 
 @pytest.mark.parametrize("x", [30.0, 100.0, 200.0, 480.0])
 def test_derivative_recurrence_against_mpmath(x):
-    # C'_nu = C_{nu-1} - (nu/x) C_nu at isolated orders, the path
-    # outside_basis_at_edge takes: no two orders are 1 apart, so each is a
-    # ladder of one and its lower rung C_{nu-1} is scipy's.  Orders nu in
+    # C'_nu = C_{nu-1} - (nu/x) C_nu at one order per call, the path
+    # outside_basis_at_edge takes: each is a ladder of one and its lower
+    # rung C_{nu-1} is scipy's.  Orders nu in
     # [0, 2), where nu - 1 is negative, and across the turning point from
     # x - 3 x^(1/3) to x + 12 x^(1/3); error relative to |C| + |C'|, worst
     # measured 6.8e-14 (J' at x = 480); the window's step-1 ladders are
@@ -125,8 +148,7 @@ def test_derivative_recurrence_against_mpmath(x):
 
     nus = np.concatenate([np.linspace(0.0, 1.95, 7),
                           np.linspace(x - 3.0 * x ** (1 / 3), x + 12.0 * x ** (1 / 3), 15)])
-    assert all(len(p) == 1 for p in specfun._ladders(nus))
-    _, jp, _, yp = specfun.cylinder_pairs(nus, x)
+    _, jp, _, yp = np.array([cyl(nu, x) for nu in nus]).T
     with mpmath.workdps(30):
         for name, deriv, fn in (("J'", jp, mpmath.besselj), ("Y'", yp, mpmath.bessely)):
             for nu, got in zip(nus, deriv):
@@ -187,16 +209,16 @@ def worst_scaled_error(got, ref):
 
 @pytest.mark.parametrize("x", [30.0, 100.0, 200.0, 480.0, 1000.0])
 def test_window_ladder_against_mpmath(x):
-    # every order of one window call, both flux signs: integer, half-integer,
-    # k +- 1e-12 (two ladders with orders 2e-12 apart) and +-0.0; error
+    # every order of a window, one call on each side of mu, both flux signs:
+    # integer, half-integer, k +- 1e-12 (ladders with orders 2e-12 apart)
+    # and +-0.0; error
     # relative to |C| + |C'|, worst measured 2.8e-13 (J at x = 1000, set by
     # scipy's J at the top of the ladder; scipy's own values there: 8.9e-13)
     k = 100
     for base in (k, k + 0.5, k + 1e-12, k - 1e-12, 0.0):
         for mu in (base, -base):
             n, nu, _ = radial._mode_window(radial.VortexParams(X=x, mu=mu))
-            err = worst_scaled_error(np.array(specfun.cylinder_pairs(nu, x)),
-                                     mpmath_window_pairs(n, mu, x))
+            err = worst_scaled_error(window_pairs(n, nu, mu, x), mpmath_window_pairs(n, mu, x))
             assert max(err) <= 3e-13, (x, mu, err)
 
 
@@ -207,12 +229,12 @@ def test_window_at_the_bottom_of_the_range():
     # value is finite (Y at most ~1e294) and within the mpmath bound
     for mu in (0.0, 0.5, 0.37, -7.25):
         n, nu, _ = radial._mode_window(radial.VortexParams(X=1.5e-10, mu=mu))
-        pairs = np.array(specfun.cylinder_pairs(nu, 1.5e-10))
+        pairs = window_pairs(n, nu, mu, 1.5e-10)
         assert np.isfinite(pairs).all()
         assert max(worst_scaled_error(pairs, mpmath_window_pairs(n, mu, 1.5e-10))) <= 3e-13
-    _, nu, _ = radial._mode_window(radial.VortexParams(X=1.4e-10, mu=0.0))
+    n, nu, _ = radial._mode_window(radial.VortexParams(X=1.4e-10, mu=0.0))
     with pytest.raises(ValueError, match="not a normal float"):
-        specfun.cylinder_pairs(nu, 1.4e-10)
+        window_pairs(n, nu, 0.0, 1.4e-10)
 
 
 # ---------------------------------------------------------------------------
