@@ -13,9 +13,13 @@ Subcommands
              configured tolerance is exceeded
 
 Scenario parameters come from flags or from a plain ``key=value`` file
-(one pair per line, ``#`` comments); flags override the file, and a
-key that no command reads is refused (exit 2).  The
-impenetrable shell is spelled ``--kappa inf``.  All numeric CSV output
+(one pair per line, ``#`` comments).  Each key has one conversion and one
+default: the file overrides the default and flags override the file
+(``--method`` flags replace the file's ``methods``).  Every command
+refuses (exit 2) a key that no command reads and a file value that its
+key cannot convert; a flag and a file value out of range, such as
+``sigma = 2``, get the same message.  The impenetrable shell is spelled
+``--kappa inf``.  All numeric CSV output
 uses 17 significant digits, so identical inputs give byte-identical
 files; the rows are built column-wise, one format call per cell.
 
@@ -81,11 +85,11 @@ class Scenario:
     def angles(self) -> np.ndarray:
         lo, hi, steps = self.grid
         g = np.linspace(lo, hi, steps)
-        needs_nonzero = bool({amp.EXACT, amp.AB} & set(self.methods))
-        if needs_nonzero and np.any(g == 0.0):
-            # nudge the zero sample off the flux-line singularity
-            h = (hi - lo) / (steps - 1)
-            g = np.where(g == 0.0, 0.25 * h, g)
+        if {amp.EXACT, amp.AB} & set(self.methods):
+            # nudge the zero sample off the flux-line singularity; linspace
+            # may leave a roundoff residue of a few ulp of the ends there
+            zero = np.abs(g) <= 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
+            g = np.where(zero, 0.25 * (hi - lo) / (steps - 1), g)
         return g
 
 
@@ -101,23 +105,30 @@ def regime_warnings(params: VortexParams) -> list[str]:
     return out
 
 
+def _curves(scenario: Scenario):
+    """The pass that ``run_scenario`` and ``compare_report`` share: print
+    the regime warnings, then build the angle grid, its CSV cells, the
+    mode table (when Exact is asked for) and one curve per method, in
+    the scenario's order."""
+    for w in regime_warnings(scenario.params):
+        print(w, file=sys.stderr)
+    params = scenario.params
+    grid = scenario.angles()
+    table = mode_table(params) if amp.EXACT in scenario.methods else None
+    curves = [amp.cross_section_curve(params, grid, m, table) for m in scenario.methods]
+    return grid, [_fmt(phi) for phi in grid.tolist()], table, curves
+
+
 def run_scenario(scenario: Scenario) -> str:
     """Compute every requested curve and write one CSV file.
 
     Amplitude columns are populated only for the Exact method; the other
     methods leave them empty.  Returns the output path.
     """
-    for w in regime_warnings(scenario.params):
-        print(w, file=sys.stderr)
-    grid = scenario.angles()
-    params = scenario.params
-    scale = 1.0 / params.X if scenario.rescale_rc else 1.0
-
+    _, phis, _, curves = _curves(scenario)
+    scale = 1.0 / scenario.params.X if scenario.rescale_rc else 1.0
     lines = [_CSV_HEADER]
-    phis = [_fmt(phi) for phi in grid.tolist()]
-    table = mode_table(params) if amp.EXACT in scenario.methods else None
-    for method in scenario.methods:
-        curve = amp.cross_section_curve(params, grid, method, table)
+    for method, curve in zip(scenario.methods, curves):
         values = (curve.value * scale).tolist()
         if method == amp.EXACT:
             amps = (curve.extras[k].tolist() for k in ("f1", "f2", "f3", "f_ab"))
@@ -235,16 +246,11 @@ def compare_report(scenario: Scenario, max_l2: float | None = None,
     for flag, tol in (("--max-l2", max_l2), ("--max-unitarity", max_unitarity)):
         if tol is not None and not tol >= 0.0:
             raise ValueError(f"{flag} must be >= 0 (inf for no limit), got {tol}")
-    methods = [m for m in scenario.methods if m != amp.EXACT]
-    if amp.EXACT not in scenario.methods or not methods:
+    if amp.EXACT not in scenario.methods or set(scenario.methods) == {amp.EXACT}:
         raise ValueError("compare needs the Exact method plus at least one other")
-    for w in regime_warnings(scenario.params):
-        print(w, file=sys.stderr)
-
     params = scenario.params
-    grid = scenario.angles()
-    table = mode_table(params)
-    exact = amp.cross_section_curve(params, grid, amp.EXACT, table)
+    grid, phis, table, curves = _curves(scenario)
+    exact = curves[scenario.methods.index(amp.EXACT)]
     report = CompareReport()
 
     report.unitarity_worst = float(np.abs(np.abs(table.s_n) - 1.0).max())
@@ -262,11 +268,11 @@ def compare_report(scenario: Scenario, max_l2: float | None = None,
         / max(np.linalg.norm(exact.value), 1e-300))
 
     lines = ["phi,method,exact,asymptotic,rel_diff"]
-    phis = [_fmt(phi) for phi in grid.tolist()]
     exact_cells = [_fmt(v) for v in exact.value.tolist()]
-    for method in methods:
-        curve = amp.cross_section_curve(params, grid, method, table)
-        floor = 1e-12 * max(float(np.max(exact.value)), 1e-300)
+    floor = 1e-12 * max(float(np.max(exact.value)), 1e-300)
+    for method, curve in zip(scenario.methods, curves):
+        if method == amp.EXACT:
+            continue
         rel = np.abs(curve.value - exact.value) / np.maximum(exact.value, floor)
         l2 = float(np.linalg.norm(curve.value - exact.value)
                    / max(np.linalg.norm(exact.value), 1e-300))
@@ -287,30 +293,17 @@ def compare_report(scenario: Scenario, max_l2: float | None = None,
 # argument handling
 # ---------------------------------------------------------------------------
 
-#: every key a scenario file may set; sweep reads curve and compare files
-_SCENARIO_KEYS = ("kr_c", "mu", "kappa", "sigma", "phi_min", "phi_max", "steps",
-                  "methods", "out", "units")
+def _method_list(text: str) -> list[str]:
+    return [m.strip() for m in text.split(";") if m.strip()]
 
 
-def _load_scenario_file(path: str) -> dict[str, str]:
-    out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed scenario line: {raw.strip()!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _SCENARIO_KEYS:
-                raise ValueError(f"unknown scenario key {key!r} in {path}; "
-                                 f"expected one of {', '.join(_SCENARIO_KEYS)}")
-            out[key] = val
-    return out
-
-
+#: every key a scenario file may set, with the conversion of its text and
+#: its default (kr_c has none); sweep reads curve and compare files
+_KEYS = {"kr_c": (float, None), "mu": (float, 0.0), "kappa": (float, 0.0), "sigma": (int, 1),
+         "phi_min": (float, Scenario.grid[0]), "phi_max": (float, Scenario.grid[1]),
+         "steps": (int, Scenario.grid[2]), "methods": (_method_list, Scenario.methods),
+         "out": (str, Scenario.output_path), "units": (str, "k")}
 _UNITS = ("k", "rc")
-_REQUIRED = object()  # default of a setting that has none
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -322,23 +315,21 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_physics(sp, with_vortex=True):
         sp.add_argument("--scenario", help="key=value scenario file; flags override it")
         sp.add_argument("--kr-c", type=float, help="dimensionless vortex radius k r_c")
+        sp.add_argument("--out", help="output CSV path")
         if with_vortex:  # the sweep's closed-form pattern depends on k r_c alone
             sp.add_argument("--mu", type=float, help="flux in flux quanta")
-            sp.add_argument("--kappa", type=float, default=None,
+            sp.add_argument("--kappa", type=float,
                             help="shell strength kappa/k; 'inf' for the impenetrable vortex")
-            sp.add_argument("--sigma", type=int, choices=(-1, 1), default=None,
-                            help="spin projection")
-        sp.add_argument("--out", help="output CSV path")
+            sp.add_argument("--sigma", type=int, help="spin projection, +1 or -1")
+            sp.add_argument("--phi-min", type=float)
+            sp.add_argument("--phi-max", type=float)
+            sp.add_argument("--steps", type=int)
+            sp.add_argument("--method", action="append", dest="methods",
+                            help=f"one of {amp.METHOD_TAGS}; repeatable")
 
     c = sub.add_parser("curve", help="sample cross-section curves to CSV")
     add_physics(c)
-    c.add_argument("--phi-min", type=float, default=None)
-    c.add_argument("--phi-max", type=float, default=None)
-    c.add_argument("--steps", type=int, default=None)
-    c.add_argument("--method", action="append", default=None,
-                   help=f"one of {amp.METHOD_TAGS}; repeatable")
-    c.add_argument("--units", choices=_UNITS, default=None,
-                   help="report k d(sigma)/(dz dphi) ('k') or divide by k r_c ('rc')")
+    c.add_argument("--units", help="report k d(sigma)/(dz dphi) ('k') or divide by k r_c ('rc')")
 
     s = sub.add_parser("sweep", help="flux sweep of diffraction-fringe peaks")
     add_physics(s, with_vortex=False)
@@ -348,10 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("compare", help="exact-vs-asymptotic comparison report")
     add_physics(r)
-    r.add_argument("--phi-min", type=float, default=None)
-    r.add_argument("--phi-max", type=float, default=None)
-    r.add_argument("--steps", type=int, default=None)
-    r.add_argument("--method", action="append", default=None)
     r.add_argument("--max-l2", type=float, default=None,
                    help="fail (exit 1) if any method's rel L2 exceeds this (>= 0, inf for no limit)")
     r.add_argument("--max-unitarity", type=float, default=None,
@@ -359,41 +346,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _settings(args):
-    """``pick(key, conv, default)``: flag, else scenario-file value via conv, else default."""
-    file_vals = _load_scenario_file(args.scenario) if args.scenario else {}
-
-    def pick(key, conv, default):
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            return flag_val
-        if key in file_vals:
-            return conv(file_vals[key])
-        if default is _REQUIRED:
-            raise ValueError(f"{key} is required (flag --{key.replace('_', '-')} or scenario file)")
-        return default
-
-    return pick
+def _settings(args, **defaults) -> dict:
+    """Every scenario setting: the key's default (or the command's, from
+    ``defaults``), replaced by the scenario file's value, replaced by the
+    flag's."""
+    values = {key: default for key, (_, default) in _KEYS.items()} | defaults
+    if args.scenario:
+        with open(args.scenario) as fh:
+            for raw in fh:
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"malformed scenario line: {raw.strip()!r}")
+                key, val = (part.strip() for part in line.split("=", 1))
+                if key not in _KEYS:
+                    raise ValueError(f"unknown scenario key {key!r} in {args.scenario}; "
+                                     f"expected one of {', '.join(_KEYS)}")
+                values[key] = _KEYS[key][0](val)
+    values |= {key: v for key in _KEYS if (v := getattr(args, key, None)) is not None}
+    if values["kr_c"] is None:
+        raise ValueError("kr_c is required (flag --kr-c or scenario file)")
+    return values
 
 
 def _scenario_from_args(args) -> Scenario:
-    pick = _settings(args)
-    params = VortexParams(X=pick("kr_c", float, _REQUIRED), mu=pick("mu", float, 0.0),
-                          kappa=pick("kappa", float, 0.0), sigma=pick("sigma", int, +1))
-    phi_min = pick("phi_min", float, -math.pi + 1e-3)
-    phi_max = pick("phi_max", float, math.pi - 1e-3)
-    steps = pick("steps", int, 2001)
-    methods = args.method
-    if methods is None:
-        methods = [m.strip() for m in pick("methods", str, amp.EXACT).split(";") if m.strip()]
+    s = _settings(args)
+    params = VortexParams(X=s["kr_c"], mu=s["mu"], kappa=s["kappa"], sigma=s["sigma"])
+    if s["units"] not in _UNITS:
+        raise ValueError(f"units must be one of {_UNITS}, got {s['units']!r}")
     canon = {m.lower(): m for m in amp.METHOD_TAGS}
-    methods = tuple(canon.get(m.lower(), m) for m in methods)
-    out = pick("out", str, "curves.csv")
-    units = pick("units", str, "k")
-    if units not in _UNITS:
-        raise ValueError(f"units must be one of {_UNITS}, got {units!r}")
-    return Scenario(params=params, grid=(phi_min, phi_max, steps),
-                    methods=methods, output_path=out, rescale_rc=(units == "rc"))
+    return Scenario(params=params, grid=(s["phi_min"], s["phi_max"], s["steps"]),
+                    methods=tuple(canon.get(m.lower(), m) for m in s["methods"]),
+                    output_path=s["out"], rescale_rc=(s["units"] == "rc"))
 
 
 def main(argv=None) -> int:
@@ -406,25 +391,19 @@ def main(argv=None) -> int:
             argv[i - 1:i + 1] = [f"{flag}={value}"]
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "curve":
-            scenario = _scenario_from_args(args)
-            path = run_scenario(scenario)
-            print(f"wrote {path}")
-            return EXIT_OK
         if args.command == "sweep":
-            pick = _settings(args)
+            s = _settings(args, out="fringes.csv")
             mu_grid = np.linspace(args.mu_min, args.mu_max, args.mu_steps)
-            path = fringe_sweep(VortexParams(X=pick("kr_c", float, _REQUIRED), mu=0.0), mu_grid,
-                                pick("out", str, "fringes.csv"))
+            path = fringe_sweep(VortexParams(X=s["kr_c"], mu=0.0), mu_grid, s["out"])
             print(f"wrote {path}")
             return EXIT_OK
-        if args.command == "compare":
-            scenario = _scenario_from_args(args)
-            report = compare_report(scenario, max_l2=args.max_l2,
-                                    max_unitarity=args.max_unitarity)
-            print(report.summary())
-            return EXIT_TOLERANCE if report.failures else EXIT_OK
-        raise ValueError(f"unknown command {args.command!r}")
+        scenario = _scenario_from_args(args)
+        if args.command == "curve":
+            print(f"wrote {run_scenario(scenario)}")
+            return EXIT_OK
+        report = compare_report(scenario, max_l2=args.max_l2, max_unitarity=args.max_unitarity)
+        print(report.summary())
+        return EXIT_TOLERANCE if report.failures else EXIT_OK
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -110,8 +110,3 @@ def airy_ai(y):
                          f"|y| <= {SUPPORTED_MAX_AIRY}")
     out = _sp.airy(y)[0]
     return out if y.ndim else float(out)
-
-
-# First maximum of Ai(-t): root of Ai'(-t), t > 0.  Sets the offset of the
-# rainbow peak from the extremal classical deflection angle.
-AIRY_FIRST_MAX = 1.0187929716474071

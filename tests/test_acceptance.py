@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import ai_zeros
 
 from vortexscatter import amplitudes as amp
 from vortexscatter import asymptotics as asy
@@ -161,7 +162,7 @@ def test_criterion_06_rainbow_regularisation():
     p = VortexParams(X=X, mu=mu, kappa=0.0)
     phi_extr = asy.rainbow_angle(mu, X)
     scale = (2 * mu) ** (2.0 / 3.0) * math.sqrt((X / (2 * mu)) ** 2 - 1.0)
-    predicted = phi_extr + specfun.AIRY_FIRST_MAX / scale
+    predicted = phi_extr - ai_zeros(1)[1][0] / scale  # first maximum of Ai(-t)
 
     coarse = amp.default_angle_grid(1201)
     center, step = phi_extr + 0.1, math.pi / 1e4  # a dense grid over the rainbow

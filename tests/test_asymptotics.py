@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
+from scipy.special import ai_zeros
 
 from vortexscatter import asymptotics as asy
 from vortexscatter import specfun
@@ -388,13 +389,17 @@ def penetration_window(mu, X):
     return float(modes[0]), float(modes[-1])
 
 
-@pytest.mark.parametrize("case", ["quadratic", "separated cubic", "penetration"])
+@pytest.mark.parametrize("case", ["quadratic", "on a sample", "separated cubic", "penetration"])
 def test_engine_finds_every_stationary_point(case):
     phis = [0.0]
     if case == "quadratic":
         a = 0.01
         phase = (lambda n: -a * n * n, lambda n: -2 * a * n, lambda n: -2 * a, lambda n: 0.0)
         window = (-100.0, 100.0)
+    elif case == "on a sample":  # chi' = 2 pi exactly at the scan's sample n = 1024
+        phase = (lambda n: math.pi * n * n / 1024, lambda n: math.pi * n / 512,
+                 lambda n: math.pi / 512, lambda n: 0.0)
+        window = (0.0, 2047.0)
     elif case == "separated cubic":
         beta, alpha = 2e-4, -0.9
         phase = (lambda n: beta * n ** 3 / 3 + alpha * n, lambda n: beta * n * n + alpha,
@@ -862,7 +867,7 @@ def test_rainbow_peak_sits_at_first_airy_maximum():
     # a bounded scalar search could land on one
     mu, X = 25.0, 100.0
     scale = (2 * mu) ** (2.0 / 3.0) * math.sqrt((X / (2 * mu)) ** 2 - 1.0)
-    phi_peak = rainbow_angle(mu, X) + specfun.AIRY_FIRST_MAX / scale
+    phi_peak = rainbow_angle(mu, X) - ai_zeros(1)[1][0] / scale  # first maximum of Ai(-t)
     res = minimize_scalar(lambda p: -rainbow_cs(p, mu, X),
                           bounds=(rainbow_angle(mu, X), rainbow_angle(mu, X) + 2.0 / scale),
                           method="bounded")

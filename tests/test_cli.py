@@ -109,6 +109,41 @@ def test_scenario_file_refuses_unknown_keys(tmp_path, capsys, command, line):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["curve", "compare", "sweep"])
+def test_scenario_file_refuses_a_value_its_key_cannot_convert(tmp_path, capsys, command):
+    # every command converts every file value, also one it does not read
+    scen = tmp_path / "scenario.txt"
+    scen.write_text(f"kr_c = 30\nmu = 0.3\nmethods = Exact;Fraunhofer\nsteps = five\n"
+                    f"out = {tmp_path / 'x.csv'}\n")
+    assert run([command, "--scenario", str(scen)]) == cli.EXIT_INVALID
+    assert "'five'" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("flag, line", [(["--sigma", "2"], "sigma = 2"),
+                                        (["--units", "RC"], "units = RC")])
+def test_flag_and_file_values_out_of_range_get_one_message(tmp_path, capsys, flag, line):
+    out = tmp_path / "x.csv"
+    base = ["curve", "--kr-c", "30", "--mu", "0.3", "--method", "Fraunhofer", "--steps", "5",
+            "--out", str(out)]
+    assert run(base + flag) == cli.EXIT_INVALID
+    from_flag = capsys.readouterr().err
+    scen = tmp_path / "scenario.txt"
+    scen.write_text(line + "\n")
+    assert run(base + ["--scenario", str(scen)]) == cli.EXIT_INVALID
+    assert capsys.readouterr().err == from_flag and from_flag.startswith("error: ")
+    assert not out.exists()
+
+
+def test_method_flags_replace_the_file_methods(tmp_path):
+    scen = tmp_path / "scenario.txt"
+    scen.write_text("kr_c = 30\nmu = 0.3\nmethods = Exact;AB\nsteps = 5\n"
+                    f"out = {tmp_path / 'm.csv'}\n")
+    assert run(["curve", "--scenario", str(scen), "--method", "Fraunhofer"]) == cli.EXIT_OK
+    rows = (tmp_path / "m.csv").read_text().strip().split("\n")[1:]
+    assert [r.split(",")[1] for r in rows] == ["Fraunhofer"] * 5
+
+
 def test_sweep_reads_a_curve_scenario_file(tmp_path):
     # every key a curve or compare file may set is known to the sweep too
     scen = tmp_path / "scenario.txt"
@@ -117,6 +152,19 @@ def test_sweep_reads_a_curve_scenario_file(tmp_path):
                     f"out = {tmp_path / 'x.csv'}\n")
     assert run(["sweep", "--scenario", str(scen), "--mu-steps", "3"]) == cli.EXIT_OK
     assert len((tmp_path / "x.csv").read_text().strip().split("\n")) == 4
+
+
+def test_zero_sample_nudged_off_a_roundoff_residue(tmp_path):
+    # linspace(-0.23, 0.23, 101) leaves -2.8e-17 where 0 belongs; the curve
+    # wrote 7e32 there, beside neighbours of 2e4
+    out = tmp_path / "nudge.csv"
+    assert run(["curve", "--kr-c", "30", "--mu", "0.37", "--phi-min", "-0.23",
+                "--phi-max", "0.23", "--steps", "101", "--method", "Exact", "--method", "AB",
+                "--out", str(out)]) == cli.EXIT_OK
+    cells = [r.split(",") for r in out.read_text().strip().split("\n")[1:]]
+    phi, value = min((abs(float(c[0])), float(c[2])) for c in cells if c[1] == "Exact")
+    assert phi == pytest.approx(0.25 * 0.46 / 100, rel=1e-12)
+    assert value < 1e6
 
 
 def test_kappa_inf_spelling(tmp_path):

@@ -9,7 +9,6 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import airy
 
 from vortexscatter import radial, specfun
 
@@ -362,9 +361,3 @@ def test_airy_differential_relation():
 def test_airy_range_check():
     with pytest.raises(ValueError):
         specfun.airy_ai(101.0)
-
-
-def test_airy_first_max_constant():
-    # the pinned first maximum of Ai(-t): Ai'(-t) = 0 there
-    t = specfun.AIRY_FIRST_MAX
-    assert abs(airy(-t)[1]) < 1e-12
