@@ -28,16 +28,20 @@ f1 is two geometric series: the near modes are contiguous and P_n takes
 one value below mu and another from mu on, so f1 is summed in closed form
 as two Dirichlet kernels, one on each side of mu.
 
-Each other mode sum factors its phases baby-step giant-step,
+An Exact curve sums f2 and f3 as two weight rows of one mode sum over
+the kept span of :func:`vortexscatter.radial.mode_table`, from the first
+to the last mode with c_n != 0, with zero weights on the modes a piece
+does not include.  On :func:`default_angle_grid` (M angles, step
+2 pi/(M + 1)) that sum is a discrete Fourier transform: the weights are
+folded modulo M + 1 and summed by one inverse FFT, at the exact grid
+points.  Any other grid or a scalar angle takes the direct sum, which
+factors its phases baby-step giant-step,
 e^{i n phi} = e^{i (n0 + B a) phi} e^{i b phi} with B ~ sqrt(K) for K
 modes, so a block of angles needs ~2 sqrt(K) complex exponentials per
 angle instead of K.  Two fixed-order einsum contractions, over b and
-then over a, take the sum one block of angles at a time, so identical
-inputs give identical bits at any BLAS thread count and no table
-exceeds one block.  An Exact curve sums f2 and f3 as two weight rows of
-one such call over the kept span of
-:func:`vortexscatter.radial.mode_table`, from the first to the last mode
-with c_n != 0, with zero weights on the modes a piece does not include.
+then over a, take the sum one block of angles at a time, so no table
+exceeds one block.  Neither path calls BLAS, so identical inputs give
+identical bits at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -150,6 +154,27 @@ def _mode_sum(phi, ns: np.ndarray, weights):
     return _like(phi, 1j / SQRT_2PI * total)
 
 
+def _grid_sum(M: int, ns: np.ndarray, weights) -> np.ndarray:
+    """:func:`_mode_sum` on ``default_angle_grid(M)``, by one folded
+    inverse FFT of length L = M + 1.
+
+    The grid is the first M points phi_j = a + j h of the L-point circle
+    with h = 2 pi/L and a = -pi M/L, so sum_n w_n e^{i n phi_j} =
+    sum_r W_r e^{2 pi i r j/L} with W_r the sum of w_n e^{i n a} over
+    n = r mod L.  The start phase e^{i n a} = e^{i pi k/L} takes
+    k = (-n M) mod 2L in integers, reduced to (-L, L], so it is rounded
+    as an angle in [-pi, pi], never as the product n a.  The L-th point,
+    pi - h/2, is dropped.
+    """
+    weights = np.asarray(weights)
+    L = M + 1
+    k = (-ns * M) % (2 * L)
+    k = np.where(k > L, k - 2 * L, k)
+    folded = np.zeros(weights.shape[:-1] + (L,), dtype=complex)
+    np.add.at(folded, (..., ns % L), weights * np.exp(1j * (math.pi / L * k)))
+    return 1j / SQRT_2PI * np.fft.ifft(folded, norm="forward")[..., :M]
+
+
 def _dirichlet(phi: np.ndarray, a: int, b: int) -> np.ndarray:
     """sum_{n=a}^{b} e^{i n phi} = e^{i (a+b) phi/2} sin(N phi/2)/sin(phi/2)
     over the N = b - a + 1 modes, with the limit N where sin(phi/2) = 0;
@@ -198,7 +223,10 @@ def fc_sums(phi, params: VortexParams, table: ModeTable | None = None):
     f2 and f3 are two weight rows of one mode sum, P_n c_n on the near
     modes and on the far ones, over the kept span from the first to the
     last mode with c_n != 0 (the modes outside it carry c_n = 0 exactly).
-    An Exact curve takes f2 and f3 from here.
+    A ``phi`` equal bit for bit to ``default_angle_grid(M)``, M >= 2,
+    takes one folded inverse FFT (:func:`_grid_sum`); scalars and every
+    other grid take the direct sum :func:`_mode_sum`.  An Exact curve
+    takes f2 and f3 from here.
 
     Parameters
     ----------
@@ -223,7 +251,12 @@ def fc_sums(phi, params: VortexParams, table: ModeTable | None = None):
     span = slice(live[0], live[-1] + 1)
     n, near = table.n[span], table.near[span]
     pc = flux_phase(n, params.mu) * table.c_n[span]
-    f2, f3 = _like(phi, _mode_sum(p, n, [np.where(near, pc, 0.0), np.where(near, 0.0, pc)]))
+    rows = [np.where(near, pc, 0.0), np.where(near, 0.0, pc)]
+    M = len(p)
+    if M >= 2 and np.array_equal(p, default_angle_grid(M)):
+        f2, f3 = _grid_sum(M, n, rows)
+    else:
+        f2, f3 = _like(phi, _mode_sum(p, n, rows))
     return f2, f3
 
 
@@ -232,8 +265,10 @@ def fc_sums(phi, params: VortexParams, table: ModeTable | None = None):
 # ---------------------------------------------------------------------------
 
 def default_angle_grid(n: int = 2001) -> np.ndarray:
-    """Uniform grid of n angles inside (-pi, pi); the half-step offset
-    keeps phi = 0 off the grid."""
+    """Uniform grid of n angles inside (-pi, pi): the first n of the
+    n + 1 points -pi + (j + 1/2) h, h = 2 pi/(n + 1), of the full circle;
+    the half-step offset keeps phi = 0 off the grid for odd n.  Exact
+    mode sums on this grid take one FFT (:func:`fc_sums`)."""
     if n < 2:
         raise ValueError("need at least 2 grid points")
     h = 2.0 * math.pi / (n + 1)

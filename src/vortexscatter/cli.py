@@ -377,7 +377,7 @@ def _scenario_from_args(args) -> Scenario:
         raise ValueError(f"units must be one of {_UNITS}, got {s['units']!r}")
     canon = {m.lower(): m for m in amp.METHOD_TAGS}
     return Scenario(params=params, grid=(s["phi_min"], s["phi_max"], s["steps"]),
-                    methods=tuple(canon.get(m.lower(), m) for m in s["methods"]),
+                    methods=tuple(dict.fromkeys(canon.get(m.lower(), m) for m in s["methods"])),
                     output_path=s["out"], rescale_rc=(s["units"] == "rc"))
 
 

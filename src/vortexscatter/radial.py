@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -323,7 +323,8 @@ class ModeTable:
     (module docstring): -s_n for near modes, 1 - s_n for far modes.  Far
     modes past the tail cutoff hold the free values c_n = 0, s_n = 1
     exactly.
-    ``len``, indexing and iteration give :class:`ModeMatch` rows.
+    ``len``, indexing and iteration give :class:`ModeMatch` rows, built
+    once on first use.
     """
 
     params: VortexParams
@@ -336,12 +337,16 @@ class ModeTable:
     def __len__(self) -> int:
         return len(self.n)
 
+    @cached_property
+    def _rows(self) -> tuple[ModeMatch, ...]:
+        return tuple(ModeMatch(n, nu, NEAR if near else FAR, c, s) for n, nu, near, c, s in zip(
+            *(a.tolist() for a in (self.n, self.nu, self.near, self.c_n, self.s_n))))
+
     def __getitem__(self, i: int) -> ModeMatch:
-        return ModeMatch(int(self.n[i]), float(self.nu[i]), NEAR if self.near[i] else FAR,
-                         complex(self.c_n[i]), complex(self.s_n[i]))
+        return self._rows[i]
 
     def __iter__(self):
-        return (self[i] for i in range(len(self)))
+        return iter(self._rows)
 
 
 _TAIL_EPS = 1e-14

@@ -337,6 +337,85 @@ def test_mode_sums_match_fsum_oracle_on_the_cli_grid():
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref[0]).max()
 
 
+_PI_LD = 4 * np.arctan(np.longdouble(1))
+
+
+def _ld_grid_sums(M, js, ns, weights):
+    """(i/sqrt(2 pi)) sum_n weights_n e^{i n phi_j} in long double at the
+    exact points phi_j = pi (2j + 1 - L)/L, L = M + 1, of
+    default_angle_grid(M), for j in ``js``: each phase is pi m/L with
+    m = n (2j + 1 - L) reduced to (-L, L] in integers."""
+    L = M + 1
+    theta = _PI_LD * np.arange(-L + 1, L + 1) / L
+    roots = np.cos(theta) + 1j * np.sin(theta)  # e^{i pi m/L}, m = -L+1 .. L
+    m = np.outer(ns, 2 * np.asarray(js) + 1 - L) % (2 * L)
+    phases = roots[np.where(m > L, m - 2 * L, m) + L - 1]
+    return 1j / np.sqrt(2 * _PI_LD) * (np.asarray(weights, np.clongdouble) @ phases)
+
+
+def _kept_rows(p, tab):
+    """The kept span of a table and fc_sums' two weight rows over it."""
+    live = np.flatnonzero(tab.c_n)
+    span = slice(live[0], live[-1] + 1)
+    pc = amp.flux_phase(tab.n[span], p.mu) * tab.c_n[span]
+    near = tab.near[span]
+    return tab.n[span], np.array([np.where(near, pc, 0.0), np.where(near, 0.0, pc)])
+
+
+@pytest.mark.parametrize("X", [30.0, 100.0, 480.0, 1000.0])
+def test_default_grid_fft_matches_long_double_sum(X):
+    # on default_angle_grid(M) fc_sums folds the kept span modulo M + 1
+    # into one FFT; against a long-double sum at the exact grid points it
+    # keeps 2.5e-16 of the peak |f1| at worst (NOTES.md), where _mode_sum
+    # on the float64 grid read 3e-15 to 8e-14
+    g = amp.default_angle_grid(2001)
+    js = np.r_[0:2001:10, 2000]
+    for mu in (0.3 * X + 0.37, -0.3 * X - 0.37):
+        for kappa in (0.0, math.inf):
+            p = VortexParams(X=X, mu=mu, kappa=kappa)
+            tab = mode_table(p)
+            ns, rows = _kept_rows(p, tab)
+            ref = _ld_grid_sums(2001, js, ns, rows)
+            got = np.array(amp.fc_sums(g, p, tab))[:, js]
+            peak = np.abs(amp.f1_sum(g, p)).max()
+            assert float(np.abs(got - ref).max()) <= 3e-16 * peak, (mu, kappa)
+
+
+@pytest.mark.parametrize("kappa", [0.0, math.inf])
+def test_default_grid_fft_folds_a_span_longer_than_the_circle(kappa):
+    # X = 480 keeps about 1060 modes, more than the L = 102 points of
+    # default_angle_grid(101): modes n and n + L share a grid phase and
+    # fold onto one FFT input
+    p = VortexParams(X=480.0, mu=144.37, kappa=kappa)
+    tab = mode_table(p)
+    ns, rows = _kept_rows(p, tab)
+    g = amp.default_angle_grid(101)
+    assert len(ns) > 10 * len(g)
+    ref = _ld_grid_sums(101, np.arange(101), ns, rows)
+    peak = np.abs(amp.f1_sum(g, p)).max()
+    assert float(np.abs(np.array(amp.fc_sums(g, p, tab)) - ref).max()) <= 5e-16 * peak
+
+
+@pytest.mark.parametrize("M", [2, 400, 2001])
+def test_default_grid_fft_keeps_parseval_on_the_full_circle(M):
+    # the M grid points and the dropped point pi - h/2 are the L = M + 1
+    # points of the circle; with no folding (L above the span) discrete
+    # Parseval gives sum_j |S_j|^2 = L sum_n |w_n|^2, with
+    # S = sqrt(2 pi) |f|
+    p = VortexParams(X=100.0, mu=-30.37, kappa=2.5)
+    tab = mode_table(p)
+    ns, rows = _kept_rows(p, tab)
+    g = amp.default_angle_grid(M)
+    L = M + 1
+    keep = slice(None) if L >= len(ns) else slice(0, L)
+    ns, rows = ns[keep], rows[:, keep]
+    last = _ld_grid_sums(M, [M], ns, rows)[:, 0].astype(complex)
+    S = np.column_stack([amp._grid_sum(M, ns, rows), last]) * math.sqrt(2.0 * math.pi)
+    for s, w in zip(S, rows):
+        lhs = math.fsum((np.abs(s) ** 2).tolist())
+        assert lhs == pytest.approx(L * math.fsum((np.abs(w) ** 2).tolist()), rel=1e-14)
+
+
 def test_fc_sums_memory_is_one_block_of_angles():
     # the phase matrix is built one block of angles at a time: on the
     # 12.7k-angle refined grid the sums must not hold a modes x angles matrix
@@ -436,29 +515,36 @@ def test_exact_curve_continuous_as_the_last_near_mode_leaves():
 
 
 def test_exact_curve_sums_the_kept_span_in_one_call(monkeypatch):
-    # f2 and f3 are two weight rows of one call over the kept span, whose
-    # ends are the outermost modes with c_n != 0; f1 is in closed form and
-    # makes no call, and fc_sums does not compute f1
-    calls, f1_calls = [], []
+    # f2 and f3 are two weight rows of one sum over the kept span, whose
+    # ends are the outermost modes with c_n != 0: one _mode_sum call on a
+    # linspace grid, one folded FFT and no _mode_sum call on a default
+    # grid; f1 is in closed form and makes no call, and fc_sums does not
+    # compute f1
+    calls, ffts, f1_calls = [], [], []
 
     def counted(phi, ns, weights):
         calls.append((np.shape(weights), int(ns[0]), int(ns[-1])))
         return mode_sum(phi, ns, weights)
 
-    mode_sum, f1_sum = amp._mode_sum, amp.f1_sum
+    mode_sum, grid_sum, f1_sum = amp._mode_sum, amp._grid_sum, amp.f1_sum
     monkeypatch.setattr(amp, "_mode_sum", counted)
+    monkeypatch.setattr(amp, "_grid_sum", lambda *args: ffts.append(args) or grid_sum(*args))
     monkeypatch.setattr(amp, "f1_sum", lambda *args: f1_calls.append(args) or f1_sum(*args))
-    g = amp.default_angle_grid(301)
+    g, lin = amp.default_angle_grid(301), np.linspace(-3.0, 3.0, 300)
     for p in (VortexParams(X=100.0, mu=10.37, kappa=0.0),
               VortexParams(X=30.0, mu=-4.6, kappa=math.inf)):
         tab = mode_table(p)
         live = tab.n[tab.c_n != 0]
         assert 0 < len(live) < len(tab.n)
+        span = ((2, live[-1] - live[0] + 1), live[0], live[-1])
         calls.clear()
         f1_calls.clear()
         amp.cross_section_curve(p, g, amp.EXACT)
-        assert calls == [((2, live[-1] - live[0] + 1), live[0], live[-1])]
-        assert len(f1_calls) == 1
+        assert calls == [] and len(ffts) == 1 and len(f1_calls) == 1
+        assert ffts[0][0] == 301 and list(ffts[0][1]) == list(range(live[0], live[-1] + 1))
+        ffts.clear()
+        amp.cross_section_curve(p, lin, amp.EXACT)
+        assert calls == [span] and ffts == [] and len(f1_calls) == 2
         calls.clear()
         amp.f1_sum(g, p)
         amp.f1_sum(0.3, p)
@@ -466,7 +552,8 @@ def test_exact_curve_sums_the_kept_span_in_one_call(monkeypatch):
         f1_calls.clear()
         amp.fc_sums(g, p, tab)
         amp.fc_sums(0.3, p)
-        assert f1_calls == [] and len(calls) == 2
+        assert f1_calls == [] and len(calls) == 1 and len(ffts) == 1
+        ffts.clear()
 
 
 def test_spin_flip_curve_symmetry_without_shell():

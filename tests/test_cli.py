@@ -144,6 +144,22 @@ def test_method_flags_replace_the_file_methods(tmp_path):
     assert [r.split(",")[1] for r in rows] == ["Fraunhofer"] * 5
 
 
+@pytest.mark.parametrize("command, written", [
+    ("curve", ["Fraunhofer"] * 11 + ["Exact"] * 11),
+    ("compare", ["Fraunhofer"] * 11),
+])
+def test_a_repeated_method_is_computed_and_written_once(tmp_path, capsys, command, written):
+    # "exact" and "Exact" name one method; the first listing sets the order
+    out = tmp_path / "dup.csv"
+    assert run([command, "--kr-c", "30", "--mu", "0.37", "--steps", "11",
+                "--method", "Fraunhofer", "--method", "Exact", "--method", "Fraunhofer",
+                "--method", "exact", "--out", str(out)]) == cli.EXIT_OK
+    rows = out.read_text().strip().split("\n")[1:]
+    assert [r.split(",")[1] for r in rows] == written
+    if command == "compare":
+        assert capsys.readouterr().out.count("rel L2 (Exact vs") == 1
+
+
 def test_sweep_reads_a_curve_scenario_file(tmp_path):
     # every key a curve or compare file may set is known to the sweep too
     scen = tmp_path / "scenario.txt"

@@ -285,6 +285,19 @@ def test_mode_table_determinism_and_coverage():
     assert all(a.c_n == b.c_n for a, b in zip(t1, t2))
 
 
+def test_mode_table_rows_are_its_arrays_built_once():
+    # the rows carry Python scalars equal to the arrays, and a second pass
+    # over the table returns the same row objects, not rebuilt ones
+    tab = mode_table(VortexParams(X=30.0, mu=2.3, kappa=1.0))
+    rows = list(tab)
+    assert len(rows) == len(tab) == len(tab.n)
+    for m, n, nu, near, c, s in zip(rows, tab.n, tab.nu, tab.near, tab.c_n, tab.s_n):
+        assert [type(v) for v in (m.n, m.nu, m.regime, m.c_n, m.s_n)] == [int, float, str, complex, complex]
+        assert (m.n, m.nu, m.regime, m.c_n, m.s_n) == (n, nu, NEAR if near else FAR, c, s)
+    assert all(a is b for a, b in zip(tab, rows))
+    assert tab[-1] is rows[-1] and tab[0] is rows[0]
+
+
 def test_mode_table_cache_is_bounded():
     # a long-running process must not keep every table it ever built
     for k in range(20):
